@@ -6,7 +6,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, Term};
 use peertrust_engine::{AnswerTable, EngineConfig, SharedTable, Solver};
-use peertrust_negotiation::{negotiate, negotiate_cached, RemoteAnswerCache, SessionConfig};
+use peertrust_negotiation::{
+    negotiate, negotiate_shared_cached, SessionConfig, SharedRemoteAnswerCache,
+};
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::{chain, delegation_chain, Scenario1, Scenario2, Variant2, Workload};
 use peertrust_telemetry::Telemetry;
@@ -199,9 +201,9 @@ fn bench_negotiation_caching(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut w = delegation_chain(depth);
-                let mut cache = RemoteAnswerCache::new();
+                let cache = SharedRemoteAnswerCache::new();
                 let mut net = SimNetwork::new(1);
-                let out = negotiate_cached(
+                let out = negotiate_shared_cached(
                     &mut w.peers,
                     &mut net,
                     session_config(true),
@@ -209,15 +211,15 @@ fn bench_negotiation_caching(c: &mut Criterion) {
                     w.requester,
                     w.responder,
                     w.goal.clone(),
-                    &mut cache,
+                    &cache,
                     &Telemetry::disabled(),
                 );
                 assert!(out.success);
                 (w, cache)
             },
-            |(mut w, mut cache)| {
+            |(mut w, cache)| {
                 let mut net = SimNetwork::new(2);
-                let out = negotiate_cached(
+                let out = negotiate_shared_cached(
                     &mut w.peers,
                     &mut net,
                     session_config(true),
@@ -225,7 +227,7 @@ fn bench_negotiation_caching(c: &mut Criterion) {
                     w.requester,
                     w.responder,
                     w.goal.clone(),
-                    &mut cache,
+                    &cache,
                     &Telemetry::disabled(),
                 );
                 assert!(out.success);

@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use peertrust_negotiation::Strategy;
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::{random_policies, RandomPolicyConfig};
+use peertrust_telemetry::Telemetry;
 
 fn bench_interop(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_interop");
@@ -38,13 +39,14 @@ fn bench_interop(c: &mut Criterion) {
                             let mut decided = 0u32;
                             for w in &mut ws {
                                 let mut net = SimNetwork::new(1);
-                                let out = strategy.run(
+                                let out = strategy.run_traced(
                                     &mut w.peers,
                                     &mut net,
                                     NegotiationId(1),
                                     w.requester,
                                     w.responder,
                                     w.goal.clone(),
+                                    &Telemetry::disabled(),
                                 );
                                 // Eager must match ground truth exactly.
                                 if strategy == Strategy::Eager {

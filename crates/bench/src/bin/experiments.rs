@@ -134,10 +134,10 @@ fn telemetry_export(out_dir: &std::path::Path) {
     assert_eq!(reach_c.len(), 32);
 
     let mut w = delegation_chain(4);
-    let mut cache = peertrust_negotiation::RemoteAnswerCache::new();
+    let cache = peertrust_negotiation::SharedRemoteAnswerCache::new();
     for nid in [3u64, 4] {
         let mut net = SimNetwork::new(nid).with_telemetry(telemetry.clone());
-        let out = peertrust_negotiation::negotiate_cached(
+        let out = peertrust_negotiation::negotiate_shared_cached(
             &mut w.peers,
             &mut net,
             peertrust_negotiation::SessionConfig::default(),
@@ -145,7 +145,7 @@ fn telemetry_export(out_dir: &std::path::Path) {
             w.requester,
             w.responder,
             w.goal.clone(),
-            &mut cache,
+            &cache,
             &telemetry,
         );
         assert!(out.success, "delegation repeat {nid}");
@@ -221,6 +221,7 @@ fn telemetry_export(out_dir: &std::path::Path) {
             w15.requester,
             w15.responder,
             w15.goal.clone(),
+            None,
             &telemetry,
         );
         assert!(out.success && rep.converged, "resilient chain export");

@@ -10,6 +10,7 @@ use peertrust_core::{Literal, PeerId};
 use peertrust_negotiation::{NegotiationOutcome, PeerMap, Strategy};
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::Workload;
+use peertrust_telemetry::Telemetry;
 
 /// Run one negotiation on a fresh seeded network; panics on unexpected
 /// failure when `expect_success` is set (benchmarks should not silently
@@ -23,13 +24,14 @@ pub fn run_negotiation(
     expect_success: bool,
 ) -> NegotiationOutcome {
     let mut net = SimNetwork::new(7);
-    let out = strategy.run(
+    let out = strategy.run_traced(
         peers,
         &mut net,
         NegotiationId(1),
         requester,
         responder,
         goal,
+        &Telemetry::disabled(),
     );
     if expect_success {
         assert!(out.success, "negotiation failed: {:#?}", out.refusals);

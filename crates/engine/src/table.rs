@@ -28,7 +28,7 @@
 //! Only authority-free goals are tabled. A goal with an authority chain
 //! may route to another peer, and remote answers belong to the
 //! negotiation layer's remote-answer cache
-//! (`peertrust_negotiation::RemoteAnswerCache`) with its TTL and
+//! (`peertrust_negotiation::SharedRemoteAnswerCache`) with its TTL and
 //! invalidation story, not to this per-solver table. (Remote answers that
 //! back a *local* rule application are still captured transparently in
 //! the stored proof.)

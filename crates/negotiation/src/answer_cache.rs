@@ -10,8 +10,8 @@
 //!   canonical goal)` query returns the previously accepted answers
 //!   without touching the network. Credential pushes are not repeated —
 //!   the requester already holds the rules from the first exchange.
-//! * **Cross-negotiation** ([`RemoteAnswerCache`], opt-in via
-//!   `negotiate_cached`): a shared cache that survives negotiations, with
+//! * **Cross-negotiation** ([`SharedRemoteAnswerCache`], opt-in via
+//!   `negotiate_shared_cached`): a cache that survives negotiations, with
 //!   a TTL in network ticks and invalidation on disclosure-set change
 //!   (the responder's knowledge base growing means its answer set may
 //!   have grown too). Only answers released under a **public** context
@@ -57,8 +57,9 @@ struct Entry {
     responder_kb_len: usize,
 }
 
-/// Cross-negotiation remote-answer cache. Share one instance across
-/// `negotiate_cached` calls over the same `PeerMap`/network.
+/// The store behind a [`SharedRemoteAnswerCache`]: build one directly
+/// only to configure it (e.g. [`RemoteAnswerCache::with_ttl`]) before
+/// wrapping it with [`SharedRemoteAnswerCache::from_cache`].
 pub struct RemoteAnswerCache {
     /// `None` = no expiry; `Some(t)` = entries older than `t` ticks lapse.
     ttl_ticks: Option<u64>,

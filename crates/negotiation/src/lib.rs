@@ -11,10 +11,15 @@
 //!   goals become network queries, release policies are enforced by a
 //!   licensing scan whose context proofs run through the same distributed
 //!   machinery, answers ship with their certified proofs, recipients
-//!   verify third-party statements against signed material;
+//!   verify third-party statements against signed material. Its entry
+//!   points (`negotiate`, `negotiate_traced`, `negotiate_shared_cached`,
+//!   and `negotiate_resilient` in [`resilience`]) share one driver that
+//!   takes an optional cross-negotiation answer cache;
 //! * [`eager`] — the eager strategy: push every unlocked credential each
 //!   round; complete (succeeds iff a safe disclosure sequence exists);
-//! * [`strategy`] — dispatch over both strategies for the experiments;
+//! * [`strategy`] — dispatch over both strategies for the experiments
+//!   (`Strategy::run_traced`; pass `Telemetry::disabled()` for an
+//!   untraced run);
 //! * [`outcome`] — disclosure sequences `(C1, ..., Ck, R)` with evidence,
 //!   and the [`verify_safe_sequence`] replay checker;
 //! * [`unipro`] — UniPro policy protection: named policies guarded by
@@ -32,7 +37,9 @@
 //!   crossbeam router, one peer per thread;
 //! * [`scheduler`] — the multi-core batch driver: N independent
 //!   negotiations over a worker pool with per-job peer-map snapshots, an
-//!   optional shared answer cache, and deterministic outcome ordering;
+//!   optional shared answer cache, and deterministic outcome ordering.
+//!   Its setup step, per-job runner and per-worker telemetry also drive
+//!   [`serve`];
 //! * [`serve`] — the open-loop serving engine: deterministic Poisson
 //!   arrivals into a bounded admission queue over virtual servers, load
 //!   shedding with typed `Overload` refusals, tick-exact latency
@@ -71,21 +78,16 @@ pub use outcome::{
 };
 pub use peer::{issuer_extended, sender_extended, NegotiationPeer, PeerConfig, PeerError};
 pub use resilience::{
-    negotiate_resilient, negotiate_resilient_shared, ResilienceConfig, ResilienceFailure,
-    ResilienceReport, ResilienceStats,
+    negotiate_resilient, ResilienceConfig, ResilienceFailure, ResilienceReport, ResilienceStats,
 };
 pub use scheduler::{negotiate_batch, BatchConfig, BatchFaults, BatchJob, BatchReport, BatchStats};
 pub use serve::{
     poisson_arrivals, serve_open_loop, ServeConfig, ServeDecision, ServeReport, ServeStats,
     TickQuantiles,
 };
-pub use session::{
-    negotiate, negotiate_cached, negotiate_shared_cached, negotiate_traced, PeerMap, SessionConfig,
-};
+pub use session::{negotiate, negotiate_shared_cached, negotiate_traced, PeerMap, SessionConfig};
 pub use strategy::Strategy;
-pub use threaded_host::{
-    negotiate_threaded, negotiate_threaded_with, ThreadedConfig, ThreadedFailure, ThreadedOutcome,
-};
+pub use threaded_host::{negotiate_threaded, ThreadedConfig, ThreadedFailure, ThreadedOutcome};
 pub use ticket::{issue_ticket, redeem_ticket, Ticket, TicketError, TOKEN_PREDICATE};
 pub use unipro::{
     disclosable_definition, request_policy, unlock_policy_chain, PolicyDisclosureOutcome,

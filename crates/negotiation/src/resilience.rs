@@ -45,7 +45,7 @@
 
 use crate::answer_cache::SharedRemoteAnswerCache;
 use crate::outcome::NegotiationOutcome;
-use crate::session::{negotiate_with_cache, CacheRef, PeerMap, SessionConfig};
+use crate::session::{negotiate_with_cache, PeerMap, SessionConfig};
 use peertrust_core::PeerId;
 use peertrust_net::{MessageId, NegotiationId, SimNetwork, Tick};
 use peertrust_telemetry::Telemetry;
@@ -189,8 +189,10 @@ impl ResilienceState {
 /// [`crate::session::negotiate_traced`] hardened against an unreliable
 /// transport: attach a fault lane to `net` (see
 /// [`SimNetwork::with_faults`]) and the session retries, suppresses
-/// duplicates, and resumes crashed peers per `resilience`. Returns the
-/// outcome plus a [`ResilienceReport`] of what the layer had to do.
+/// duplicates, and resumes crashed peers per `resilience`. `cache`
+/// optionally attaches a cross-negotiation answer cache, exactly as in
+/// [`crate::session::negotiate_shared_cached`]. Returns the outcome plus
+/// a [`ResilienceReport`] of what the layer had to do.
 #[allow(clippy::too_many_arguments)]
 pub fn negotiate_resilient(
     peers: &mut PeerMap,
@@ -201,6 +203,7 @@ pub fn negotiate_resilient(
     requester: PeerId,
     responder: PeerId,
     goal: peertrust_core::Literal,
+    cache: Option<&SharedRemoteAnswerCache>,
     telemetry: &Telemetry,
 ) -> (NegotiationOutcome, ResilienceReport) {
     let (outcome, report) = negotiate_with_cache(
@@ -211,37 +214,7 @@ pub fn negotiate_resilient(
         requester,
         responder,
         goal,
-        CacheRef::None,
-        Some(resilience),
-        telemetry,
-    );
-    (outcome, report.expect("resilience attached"))
-}
-
-/// [`negotiate_resilient`] against a shared cross-negotiation answer
-/// cache (the batch scheduler's warm-cache mode).
-#[allow(clippy::too_many_arguments)]
-pub fn negotiate_resilient_shared(
-    peers: &mut PeerMap,
-    net: &mut SimNetwork,
-    cfg: SessionConfig,
-    resilience: ResilienceConfig,
-    nid: NegotiationId,
-    requester: PeerId,
-    responder: PeerId,
-    goal: peertrust_core::Literal,
-    cache: &SharedRemoteAnswerCache,
-    telemetry: &Telemetry,
-) -> (NegotiationOutcome, ResilienceReport) {
-    let (outcome, report) = negotiate_with_cache(
-        peers,
-        net,
-        cfg,
-        nid,
-        requester,
-        responder,
-        goal,
-        CacheRef::Shared(cache),
+        cache,
         Some(resilience),
         telemetry,
     );
@@ -331,6 +304,7 @@ mod tests {
             alice(),
             elearn(),
             goal(),
+            None,
             &Telemetry::disabled(),
         )
     }
@@ -483,6 +457,7 @@ mod tests {
             alice(),
             elearn(),
             goal(),
+            None,
             &tele,
         );
         let m = tele.metrics().unwrap();

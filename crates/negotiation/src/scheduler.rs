@@ -30,46 +30,175 @@
 //! lock traffic on the hot path); the registries merge into the caller's
 //! at join, and batch-level `negotiation.throughput.*` series are
 //! recorded on top.
+//!
+//! The setup step (`prepare`), the per-job runner (`JobRunner`) and the
+//! per-worker telemetry (`WorkerTelemetry`, `merge_workers`) are shared
+//! with the open-loop driver in [`crate::serve`].
 
 use crate::answer_cache::{CacheStats, SharedRemoteAnswerCache};
 use crate::outcome::NegotiationOutcome;
-use crate::resilience::{
-    negotiate_resilient, negotiate_resilient_shared, ResilienceConfig, ResilienceReport,
-    ResilienceStats,
-};
-use crate::session::{negotiate_shared_cached, negotiate_traced, PeerMap, SessionConfig};
+use crate::resilience::{ResilienceConfig, ResilienceReport, ResilienceStats};
+use crate::session::{negotiate_with_cache, PeerMap, SessionConfig};
 use peertrust_core::{Literal, PeerId};
 use peertrust_net::faults::FaultPlan;
 use peertrust_net::message::NegotiationId;
 use peertrust_net::sim::SimNetwork;
 use peertrust_telemetry::{MetricsSnapshot, Recorder, SpanId, Telemetry, TraceEvent};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Buffers every event a worker's private pipeline emits, so the batch
-/// can re-emit the union into the caller's pipeline at join in an order
-/// that does not depend on scheduling (see [`negotiate_batch`]; also
-/// shared with the open-loop driver in [`crate::serve`]).
-pub(crate) struct EventCollector {
-    pub(crate) events: Mutex<Vec<TraceEvent>>,
-}
+/// The `Recorder` behind a worker's private pipeline: it buffers every
+/// event so the driver can re-emit the union into the caller's pipeline
+/// at join, in an order that does not depend on scheduling (see
+/// [`merge_workers`]).
+struct EventCollector(Arc<Mutex<Vec<TraceEvent>>>);
 
-impl EventCollector {
-    pub(crate) fn new() -> Arc<EventCollector> {
-        Arc::new(EventCollector {
-            events: Mutex::new(Vec::new()),
-        })
+impl Recorder for EventCollector {
+    fn record(&self, event: TraceEvent) {
+        self.0.lock().expect("collector lock").push(event);
     }
 }
 
-/// The `Recorder` handle workers hold onto an [`EventCollector`] (a
-/// newtype because `Recorder` cannot be implemented on `Arc` directly).
-pub(crate) struct SharedCollector(pub(crate) Arc<EventCollector>);
+/// One worker's private telemetry pipeline, shared by the batch and the
+/// open-loop drivers: counters accumulate in the worker's own registry
+/// (no cross-core lock traffic on the hot path) and events buffer in a
+/// collector until [`merge_workers`] folds them into the caller's
+/// pipeline at join.
+pub(crate) struct WorkerTelemetry {
+    pub(crate) telemetry: Telemetry,
+    events: Option<Arc<Mutex<Vec<TraceEvent>>>>,
+}
 
-impl Recorder for SharedCollector {
-    fn record(&self, event: TraceEvent) {
-        self.0.events.lock().expect("collector lock").push(event);
+/// What a finished worker hands to [`merge_workers`]: its metrics
+/// snapshot and buffered events.
+pub(crate) type WorkerYield = (MetricsSnapshot, Vec<TraceEvent>);
+
+impl WorkerTelemetry {
+    /// A private pipeline for a worker of a driver reporting into
+    /// `parent`; disabled when `parent` is.
+    pub(crate) fn new(parent: &Telemetry) -> WorkerTelemetry {
+        let events = parent.enabled().then(Arc::default);
+        let telemetry = match &events {
+            Some(buf) => Telemetry::with_recorder(Box::new(EventCollector(Arc::clone(buf)))),
+            None => Telemetry::disabled(),
+        };
+        WorkerTelemetry { telemetry, events }
+    }
+
+    /// Close the pipeline and yield what it recorded.
+    pub(crate) fn finish(self) -> WorkerYield {
+        let snapshot = self
+            .telemetry
+            .metrics()
+            .map(|m| m.snapshot())
+            .unwrap_or_default();
+        let events = self
+            .events
+            .map(|buf| std::mem::take(&mut *buf.lock().expect("collector lock")))
+            .unwrap_or_default();
+        (snapshot, events)
+    }
+}
+
+/// Merge per-worker metric registries into `telemetry`'s, then re-emit
+/// the buffered worker events into its pipeline. A negotiation never
+/// spans workers, so sorting stably by `(negotiation, seq)` (ties keep
+/// each worker's emission order) yields a stream — and therefore a
+/// reconstructed trace — that is bit-identical across runs and worker
+/// counts.
+pub(crate) fn merge_workers(telemetry: &Telemetry, per_worker: Vec<WorkerYield>) {
+    if let Some(metrics) = telemetry.metrics() {
+        for (snapshot, _) in &per_worker {
+            metrics.merge(snapshot);
+        }
+    }
+    if telemetry.enabled() {
+        let mut events: Vec<TraceEvent> = per_worker.into_iter().flat_map(|(_, ev)| ev).collect();
+        events.sort_by_key(|e| (e.negotiation, e.seq));
+        for e in events {
+            telemetry.event(e.at, SpanId(e.span), e.negotiation, &e.kind, e.fields);
+        }
+    }
+}
+
+/// Freeze (and, with `compile` set, compile) a private copy of `peers`
+/// for a driver's jobs; a map that is already frozen is used as is when
+/// nothing needs compiling. Every per-job snapshot of the result is a
+/// copy-on-write view: cloning shares each peer's frozen KB base, signed
+/// map and registry by `Arc` instead of deep-copying the rule stores.
+/// Compilation runs *after* freezing, so the `Arc<CompiledKb>` artifacts
+/// cover the whole frozen prefix and are shared into every snapshot.
+pub(crate) fn prepare(peers: &PeerMap, compile: bool) -> Cow<'_, PeerMap> {
+    if !compile && peers.is_frozen() {
+        return Cow::Borrowed(peers);
+    }
+    let mut prepared = peers.clone();
+    prepared.freeze();
+    if compile {
+        for id in prepared.ids() {
+            if let Some(peer) = prepared.get_mut(id) {
+                peer.compile_policies();
+            }
+        }
+    }
+    Cow::Owned(prepared)
+}
+
+/// The job runner shared by [`negotiate_batch`] and
+/// [`crate::serve::serve_open_loop`]: everything a job needs beyond its
+/// own `(requester, responder, goal)`, borrowed from the driver's
+/// configuration.
+pub(crate) struct JobRunner<'a> {
+    /// The prepared (frozen) peer map every job snapshots.
+    pub(crate) peers: &'a PeerMap,
+    pub(crate) session: &'a SessionConfig,
+    pub(crate) net_seed: u64,
+    pub(crate) cache: Option<&'a SharedRemoteAnswerCache>,
+    pub(crate) faults: Option<&'a BatchFaults>,
+}
+
+/// What one executed job hands back to its driver.
+pub(crate) struct JobResult {
+    pub(crate) outcome: NegotiationOutcome,
+    /// The resilience layer's report when a fault grid supervised the job.
+    pub(crate) resilience: Option<ResilienceReport>,
+    /// Did the job's peer-map snapshot share every frozen KB base with
+    /// the prepared map (`true` = copy-on-write, no deep clone)?
+    pub(crate) shared_base: bool,
+}
+
+impl JobRunner<'_> {
+    /// Execute job `idx` on an isolated peer-map snapshot and per-job
+    /// network (under the job's reseeded fault plan, if any).
+    pub(crate) fn run(&self, job: &BatchJob, idx: usize, telemetry: &Telemetry) -> JobResult {
+        // `peers` was frozen by `prepare`, so this snapshot is a
+        // copy-on-write view over the shared rule stores (O(#peers), no
+        // KB deep copy); the session mutates only the snapshot's overlays.
+        let mut job_peers = self.peers.clone();
+        let shared_base = job_peers.shares_frozen_bases_with(self.peers);
+        let mut net = SimNetwork::for_job(self.net_seed, idx);
+        if let Some(faults) = self.faults {
+            net = net.with_faults(faults.plan.for_job(idx));
+        }
+        let (outcome, resilience) = negotiate_with_cache(
+            &mut job_peers,
+            &mut net,
+            self.session.clone(),
+            NegotiationId(idx as u64 + 1),
+            job.requester,
+            job.responder,
+            job.goal.clone(),
+            self.cache,
+            self.faults.map(|f| f.resilience.clone()),
+            telemetry,
+        );
+        JobResult {
+            outcome,
+            resilience,
+            shared_base,
+        }
     }
 }
 
@@ -187,26 +316,14 @@ pub fn negotiate_batch(
     telemetry: &Telemetry,
 ) -> BatchReport {
     let workers = cfg.workers.max(1).min(jobs.len().max(1));
-    // Freeze once per batch: the per-job `peers.clone()` in `run_job`
-    // then shares every peer's frozen KB base, signed map and registry
-    // by `Arc` instead of deep-copying the rule stores (the pre-PR 10
-    // dominant per-job cost). With `compile_policies` set the KBs are
-    // additionally compiled *after* freezing, so the `Arc<CompiledKb>`
-    // artifacts cover the whole frozen prefix and are shared into every
-    // snapshot.
-    let prepared = (cfg.compile_policies || !peers.is_frozen()).then(|| {
-        let mut prepared = peers.clone();
-        prepared.freeze();
-        if cfg.compile_policies {
-            for id in prepared.ids() {
-                if let Some(peer) = prepared.get_mut(id) {
-                    peer.compile_policies();
-                }
-            }
-        }
-        prepared
-    });
-    let peers = prepared.as_ref().unwrap_or(peers);
+    let peers = prepare(peers, cfg.compile_policies);
+    let runner = JobRunner {
+        peers: &peers,
+        session: &cfg.session,
+        net_seed: cfg.net_seed,
+        cache: cfg.shared_cache.as_ref(),
+        faults: cfg.faults.as_ref(),
+    };
     let cache_before = cfg
         .shared_cache
         .as_ref()
@@ -214,88 +331,52 @@ pub fn negotiate_batch(
         .unwrap_or_default();
 
     let next_job = AtomicUsize::new(0);
-    #[allow(clippy::type_complexity)]
-    let slots: Mutex<Vec<Option<(NegotiationOutcome, Option<ResilienceReport>)>>> =
-        Mutex::new((0..jobs.len()).map(|_| None).collect());
+    let slots: Mutex<Vec<Option<JobResult>>> = Mutex::new((0..jobs.len()).map(|_| None).collect());
     let started = Instant::now();
 
-    type WorkerYield = (Duration, MetricsSnapshot, Vec<TraceEvent>);
-    let per_worker: Vec<WorkerYield> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next_job = &next_job;
-                let slots = &slots;
-                scope.spawn(move || {
-                    // A private registry per worker: counters accumulate
-                    // lock-free with respect to other workers and merge
-                    // into the caller's registry at join. Events buffer
-                    // in a collector for deterministic re-emission.
-                    let collector = telemetry.enabled().then(EventCollector::new);
-                    let worker_tele = match &collector {
-                        Some(c) => Telemetry::with_recorder(Box::new(SharedCollector(c.clone()))),
-                        None => Telemetry::disabled(),
-                    };
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        let idx = next_job.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(idx) else {
-                            break;
-                        };
-                        let job_started = Instant::now();
-                        let outcome = run_job(peers, job, idx, cfg, &worker_tele);
-                        busy += job_started.elapsed();
-                        slots.lock().expect("slot lock")[idx] = Some(outcome);
-                    }
-                    let snapshot = worker_tele
-                        .metrics()
-                        .map(|m| m.snapshot())
-                        .unwrap_or_default();
-                    let events = collector
-                        .map(|c| std::mem::take(&mut *c.events.lock().expect("collector lock")))
-                        .unwrap_or_default();
-                    (busy, snapshot, events)
+    let (worker_busy, per_worker): (Vec<Duration>, Vec<WorkerYield>) =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let next_job = &next_job;
+                    let slots = &slots;
+                    let runner = &runner;
+                    scope.spawn(move || {
+                        let worker = WorkerTelemetry::new(telemetry);
+                        let mut busy = Duration::ZERO;
+                        loop {
+                            let idx = next_job.fetch_add(1, Ordering::Relaxed);
+                            let Some(job) = jobs.get(idx) else {
+                                break;
+                            };
+                            let job_started = Instant::now();
+                            let result = runner.run(job, idx, &worker.telemetry);
+                            busy += job_started.elapsed();
+                            slots.lock().expect("slot lock")[idx] = Some(result);
+                        }
+                        (busy, worker.finish())
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked"))
+                .unzip()
+        });
 
     let wall = started.elapsed();
     let (outcomes, resilience): (Vec<NegotiationOutcome>, Vec<Option<ResilienceReport>>) = slots
         .into_inner()
         .expect("slot lock")
         .into_iter()
-        .map(|o| o.expect("every job filled its slot"))
+        .map(|r| {
+            let r = r.expect("every job filled its slot");
+            (r.outcome, r.resilience)
+        })
         .unzip();
-
-    // Merge per-worker metric registries into the caller's.
-    if let Some(metrics) = telemetry.metrics() {
-        for (_, snapshot, _) in &per_worker {
-            metrics.merge(snapshot);
-        }
-    }
-
-    // Re-emit buffered worker events into the caller's pipeline. A
-    // negotiation never spans workers, so sorting stably by negotiation
-    // id (ties broken by each worker's emission order) yields a stream —
-    // and therefore a reconstructed trace — that is bit-identical across
-    // runs and worker counts.
-    if telemetry.enabled() {
-        let mut events: Vec<TraceEvent> = per_worker
-            .iter()
-            .flat_map(|(_, _, ev)| ev.iter().cloned())
-            .collect();
-        events.sort_by_key(|e| (e.negotiation, e.seq));
-        for e in events {
-            telemetry.event(e.at, SpanId(e.span), e.negotiation, &e.kind, e.fields);
-        }
-    }
+    merge_workers(telemetry, per_worker);
 
     let successes = outcomes.iter().filter(|o| o.success).count();
-    let worker_busy: Vec<Duration> = per_worker.iter().map(|(busy, _, _)| *busy).collect();
     let busy_total: Duration = worker_busy.iter().sum();
     let wall_secs = wall.as_secs_f64();
     let negotiations_per_sec = if wall_secs > 0.0 {
@@ -364,75 +445,6 @@ pub fn negotiate_batch(
         resilience,
         stats,
     }
-}
-
-/// Execute one job on an isolated peer-map snapshot and per-job network.
-fn run_job(
-    peers: &PeerMap,
-    job: &BatchJob,
-    idx: usize,
-    cfg: &BatchConfig,
-    telemetry: &Telemetry,
-) -> (NegotiationOutcome, Option<ResilienceReport>) {
-    // `peers` was frozen at batch setup, so this snapshot is a
-    // copy-on-write view over the shared rule stores (O(#peers), no KB
-    // deep copy); the session mutates only the snapshot's overlays.
-    let mut job_peers = peers.clone();
-    let mut net = SimNetwork::for_job(cfg.net_seed, idx);
-    let nid = NegotiationId(idx as u64 + 1);
-    if let Some(faults) = &cfg.faults {
-        net = net.with_faults(faults.plan.for_job(idx));
-        let (outcome, report) = match &cfg.shared_cache {
-            Some(cache) => negotiate_resilient_shared(
-                &mut job_peers,
-                &mut net,
-                cfg.session.clone(),
-                faults.resilience.clone(),
-                nid,
-                job.requester,
-                job.responder,
-                job.goal.clone(),
-                cache,
-                telemetry,
-            ),
-            None => negotiate_resilient(
-                &mut job_peers,
-                &mut net,
-                cfg.session.clone(),
-                faults.resilience.clone(),
-                nid,
-                job.requester,
-                job.responder,
-                job.goal.clone(),
-                telemetry,
-            ),
-        };
-        return (outcome, Some(report));
-    }
-    let outcome = match &cfg.shared_cache {
-        Some(cache) => negotiate_shared_cached(
-            &mut job_peers,
-            &mut net,
-            cfg.session.clone(),
-            nid,
-            job.requester,
-            job.responder,
-            job.goal.clone(),
-            cache,
-            telemetry,
-        ),
-        None => negotiate_traced(
-            &mut job_peers,
-            &mut net,
-            cfg.session.clone(),
-            nid,
-            job.requester,
-            job.responder,
-            job.goal.clone(),
-            telemetry,
-        ),
-    };
-    (outcome, None)
 }
 
 /// Record the batch-level `negotiation.throughput.*` series.

@@ -27,11 +27,13 @@
 //!   buffers beyond `queue_cap + servers` jobs;
 //! * **service** — an admitted job runs a real negotiation on a
 //!   copy-on-write snapshot of the frozen peer map (DESIGN.md §4i) with
-//!   its own [`SimNetwork::for_job`] stream; its virtual service time is
-//!   the negotiation's `elapsed_ticks`. Because per-job service times
-//!   depend only on the job index, the whole M/G/c simulation — admit
-//!   and shed decisions, waits, completions — is bit-identical across
-//!   runs *and* worker counts.
+//!   its own [`SimNetwork::for_job`](peertrust_net::SimNetwork::for_job)
+//!   stream; its virtual service time is the negotiation's
+//!   `elapsed_ticks`. Because per-job service times depend only on the
+//!   job index, the whole M/G/c simulation — admit and shed decisions,
+//!   waits, completions — is bit-identical across runs *and* worker
+//!   counts. Job startup (freeze-and-compile, per-job snapshot and
+//!   network, per-worker telemetry) is the batch scheduler's own code.
 //!
 //! Latency accounting flows through the telemetry quantile sketches:
 //! `negotiation.serve.{offered,admitted,shed,completed}` counters and
@@ -44,12 +46,13 @@
 use crate::answer_cache::SharedRemoteAnswerCache;
 use crate::outcome::{NegotiationOutcome, Refusal, RefusalReason};
 use crate::resilience::ResilienceFailure;
-use crate::scheduler::{BatchJob, EventCollector, SharedCollector};
-use crate::session::{negotiate_shared_cached, negotiate_traced, PeerMap, SessionConfig};
-use peertrust_net::{NegotiationId, SimNetwork, Tick};
-use peertrust_telemetry::{MetricsSnapshot, SpanId, Telemetry, TraceEvent};
+use crate::scheduler::{merge_workers, prepare, BatchJob, JobResult, JobRunner, WorkerTelemetry};
+use crate::session::{PeerMap, SessionConfig};
+use peertrust_net::faults::SplitMix64;
+use peertrust_net::Tick;
+use peertrust_telemetry::Telemetry;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 /// Open-loop driver configuration.
 #[derive(Clone)]
@@ -67,7 +70,8 @@ pub struct ServeConfig {
     /// Seed for the Poisson arrival process.
     pub arrival_seed: u64,
     /// Base seed for the per-job simulated networks
-    /// ([`SimNetwork::for_job`]), exactly as in the batch scheduler.
+    /// ([`SimNetwork::for_job`](peertrust_net::SimNetwork::for_job)),
+    /// exactly as in the batch scheduler.
     pub net_seed: u64,
     /// OS worker threads executing admitted jobs. Result-invisible: every
     /// decision and tick is identical across worker counts. `0` and `1`
@@ -198,33 +202,17 @@ pub fn poisson_arrivals(n: usize, mean_interarrival_ticks: f64, seed: u64) -> Ve
         mean_interarrival_ticks > 0.0,
         "mean inter-arrival must be positive"
     );
-    let mut state = seed;
+    let mut rng = SplitMix64::new(seed);
     let mut t: Tick = 0;
     (0..n)
         .map(|_| {
             // splitmix64 → uniform in [0, 1) → inverse-CDF exponential.
-            let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
             let gap = -(1.0 - u).ln() * mean_interarrival_ticks;
             t += (gap.round() as Tick).max(1);
             t
         })
         .collect()
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// What one executed job hands back to the coordinator.
-struct JobResult {
-    outcome: NegotiationOutcome,
-    /// Did the job's peer-map snapshot share every frozen KB base with
-    /// the serving base (`true` = copy-on-write, no deep clone)?
-    shared_base: bool,
 }
 
 /// Bounded-by-construction dispatch queue for the worker pool. Only jobs
@@ -316,22 +304,14 @@ pub fn serve_open_loop(
     cfg: &ServeConfig,
     telemetry: &Telemetry,
 ) -> ServeReport {
-    // Freeze (and optionally compile) once, exactly like the batch
-    // scheduler: every per-job snapshot below is then a copy-on-write
-    // view over Arc-shared rule stores.
-    let prepared = (cfg.compile_policies || !peers.is_frozen()).then(|| {
-        let mut prepared = peers.clone();
-        prepared.freeze();
-        if cfg.compile_policies {
-            for id in prepared.ids() {
-                if let Some(peer) = prepared.get_mut(id) {
-                    peer.compile_policies();
-                }
-            }
-        }
-        prepared
-    });
-    let peers = prepared.as_ref().unwrap_or(peers);
+    let peers = prepare(peers, cfg.compile_policies);
+    let runner = JobRunner {
+        peers: &peers,
+        session: &cfg.session,
+        net_seed: cfg.net_seed,
+        cache: cfg.shared_cache.as_ref(),
+        faults: None,
+    };
 
     let n = jobs.len();
     let arrivals = poisson_arrivals(n, cfg.mean_interarrival_ticks, cfg.arrival_seed);
@@ -348,68 +328,42 @@ pub fn serve_open_loop(
     let work = WorkQueue::new();
     let slots = ResultSlots::new(n);
 
-    type WorkerYield = (MetricsSnapshot, Vec<TraceEvent>);
-    let (sim, mut per_worker) = std::thread::scope(|scope| {
+    let (sim, per_worker) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..pool_workers)
             .map(|_| {
                 let work = &work;
                 let slots = &slots;
+                let runner = &runner;
                 scope.spawn(move || {
-                    let collector = telemetry.enabled().then(EventCollector::new);
-                    let worker_tele = match &collector {
-                        Some(c) => Telemetry::with_recorder(Box::new(SharedCollector(c.clone()))),
-                        None => Telemetry::disabled(),
-                    };
+                    let worker = WorkerTelemetry::new(telemetry);
                     while let Some(idx) = work.pop() {
-                        slots.fill(idx, run_one(peers, &jobs[idx], idx, cfg, &worker_tele));
+                        slots.fill(idx, runner.run(&jobs[idx], idx, &worker.telemetry));
                     }
-                    yield_worker(worker_tele, collector)
+                    worker.finish()
                 })
             })
             .collect();
 
         // The coordinator's own pipeline for inline (sequential-mode)
         // jobs, merged through the same path as the workers'.
-        let collector = telemetry.enabled().then(EventCollector::new);
-        let inline_tele = match &collector {
-            Some(c) => Telemetry::with_recorder(Box::new(SharedCollector(c.clone()))),
-            None => Telemetry::disabled(),
-        };
+        let inline = WorkerTelemetry::new(telemetry);
         let dispatch = |idx: usize| {
             if sequential {
-                slots.fill(idx, run_one(peers, &jobs[idx], idx, cfg, &inline_tele));
+                slots.fill(idx, runner.run(&jobs[idx], idx, &inline.telemetry));
             } else {
                 work.push(idx);
             }
         };
         let sim = simulate(&arrivals, cfg, &dispatch, &slots);
         work.close();
-        let mut per_worker: Vec<WorkerYield> = handles
+        let mut per_worker: Vec<_> = handles
             .into_iter()
             .map(|h| h.join().expect("serve worker panicked"))
             .collect();
-        per_worker.push(yield_worker(inline_tele, collector));
+        per_worker.push(inline.finish());
         (sim, per_worker)
     });
-
-    // Merge per-worker metric registries, then re-emit buffered events
-    // sorted by (negotiation, seq) — the same scheduling-independent
-    // order the batch scheduler uses.
-    if let Some(metrics) = telemetry.metrics() {
-        for (snapshot, _) in &per_worker {
-            metrics.merge(snapshot);
-        }
-    }
-    if telemetry.enabled() {
-        let mut events: Vec<TraceEvent> = per_worker
-            .iter_mut()
-            .flat_map(|(_, ev)| std::mem::take(ev))
-            .collect();
-        events.sort_by_key(|e| (e.negotiation, e.seq));
-        for e in events {
-            telemetry.event(e.at, SpanId(e.span), e.negotiation, &e.kind, e.fields);
-        }
-    }
+    merge_workers(telemetry, per_worker);
 
     // Assemble per-job results in arrival order.
     let results = slots.slots.into_inner().expect("slot lock");
@@ -595,50 +549,6 @@ fn simulate(
     result
 }
 
-/// Execute one admitted job on an isolated snapshot and per-job network.
-fn run_one(
-    peers: &PeerMap,
-    job: &BatchJob,
-    idx: usize,
-    cfg: &ServeConfig,
-    telemetry: &Telemetry,
-) -> JobResult {
-    // Copy-on-write snapshot over the frozen serving base: O(#peers)
-    // pointer bumps. `shared_base` records whether sharing actually held
-    // (it is the per-job input to `negotiation.serve.base_clones`).
-    let mut job_peers = peers.clone();
-    let shared_base = job_peers.shares_frozen_bases_with(peers);
-    let mut net = SimNetwork::for_job(cfg.net_seed, idx);
-    let nid = NegotiationId(idx as u64 + 1);
-    let outcome = match &cfg.shared_cache {
-        Some(cache) => negotiate_shared_cached(
-            &mut job_peers,
-            &mut net,
-            cfg.session.clone(),
-            nid,
-            job.requester,
-            job.responder,
-            job.goal.clone(),
-            cache,
-            telemetry,
-        ),
-        None => negotiate_traced(
-            &mut job_peers,
-            &mut net,
-            cfg.session.clone(),
-            nid,
-            job.requester,
-            job.responder,
-            job.goal.clone(),
-            telemetry,
-        ),
-    };
-    JobResult {
-        outcome,
-        shared_base,
-    }
-}
-
 /// A shed job's synthesized outcome: failed, nothing disclosed, one
 /// typed [`RefusalReason::Overload`] refusal from the responder the
 /// request never reached.
@@ -662,17 +572,6 @@ fn shed_outcome(job: &BatchJob) -> NegotiationOutcome {
         rounds: 0,
         elapsed_ticks: 0,
     }
-}
-
-fn yield_worker(
-    tele: Telemetry,
-    collector: Option<Arc<EventCollector>>,
-) -> (MetricsSnapshot, Vec<TraceEvent>) {
-    let snapshot = tele.metrics().map(|m| m.snapshot()).unwrap_or_default();
-    let events = collector
-        .map(|c| std::mem::take(&mut *c.events.lock().expect("collector lock")))
-        .unwrap_or_default();
-    (snapshot, events)
 }
 
 /// Record the `negotiation.serve.*` series (tick-valued, so the exported
@@ -803,6 +702,12 @@ mod tests {
             (4.0..=12.0).contains(&mean),
             "mean inter-arrival {mean} implausible for configured 8.0"
         );
+        // Pinned schedule: the exact ticks the generator has always drawn
+        // for this seed, so a change of random stream cannot go unnoticed.
+        assert_eq!(
+            poisson_arrivals(16, 8.0, 7),
+            [4, 5, 23, 30, 35, 37, 42, 45, 46, 50, 51, 77, 97, 113, 129, 135]
+        );
     }
 
     #[test]
@@ -885,32 +790,50 @@ mod tests {
     #[test]
     fn uncontended_serving_matches_the_closed_loop_batch() {
         let (peers, jobs) = bilateral_jobs(6);
-        // Plenty of capacity and headroom: nothing queues, nothing sheds.
-        let cfg = ServeConfig {
-            mean_interarrival_ticks: 1000.0,
-            servers: 4,
-            queue_cap: 8,
-            deadline_ticks: 10_000,
-            workers: 2,
-            ..ServeConfig::default()
-        };
-        let report = serve_open_loop(&peers, &jobs, &cfg, &Telemetry::disabled());
-        assert_eq!(report.stats.admitted, 6);
-        assert_eq!(report.stats.shed_queue_full + report.stats.shed_deadline, 0);
-        assert_eq!(report.stats.wait.max, 0, "no contention, no queueing");
-        // Same nid / net-seed scheme as the batch scheduler, so the
-        // negotiated outcomes are identical to the closed-loop run.
-        let batch = negotiate_batch(
-            &peers,
-            &jobs,
-            &BatchConfig::default(),
-            &Telemetry::disabled(),
-        );
-        for (served, batched) in report.outcomes.iter().zip(&batch.outcomes) {
-            assert_eq!(
-                serde_json::to_string(served).unwrap(),
-                serde_json::to_string(batched).unwrap()
+        // Without and with a cross-negotiation cache attached (each driver
+        // gets its own fresh one); the cached case runs both drivers
+        // sequentially, so cache warmth evolves identically.
+        for cached in [false, true] {
+            let cache = || cached.then(SharedRemoteAnswerCache::new);
+            // Plenty of capacity and headroom: nothing queues, nothing sheds.
+            let cfg = ServeConfig {
+                mean_interarrival_ticks: 1000.0,
+                servers: 4,
+                queue_cap: 8,
+                deadline_ticks: 10_000,
+                workers: 2,
+                shared_cache: cache(),
+                ..ServeConfig::default()
+            };
+            let report = serve_open_loop(&peers, &jobs, &cfg, &Telemetry::disabled());
+            assert_eq!(report.stats.admitted, 6);
+            assert_eq!(report.stats.shed_queue_full + report.stats.shed_deadline, 0);
+            assert_eq!(report.stats.wait.max, 0, "no contention, no queueing");
+            // Same nid / net-seed scheme as the batch scheduler, so the
+            // negotiated outcomes are identical to the closed-loop run.
+            let batch = negotiate_batch(
+                &peers,
+                &jobs,
+                &BatchConfig {
+                    workers: 1,
+                    shared_cache: cache(),
+                    ..BatchConfig::default()
+                },
+                &Telemetry::disabled(),
             );
+            for (served, batched) in report.outcomes.iter().zip(&batch.outcomes) {
+                assert_eq!(
+                    serde_json::to_string(served).unwrap(),
+                    serde_json::to_string(batched).unwrap(),
+                    "cached: {cached}"
+                );
+            }
+            if cached {
+                assert!(
+                    batch.stats.cache.hits > 0,
+                    "repeated goal should hit the shared cache"
+                );
+            }
         }
     }
 

@@ -23,7 +23,7 @@
 //! E11: hop-depth budget, per-peer query budgets, and cycle detection on
 //! in-flight query variants.
 
-use crate::answer_cache::{CacheKey, RemoteAnswerCache, SharedRemoteAnswerCache};
+use crate::answer_cache::{CacheKey, SharedRemoteAnswerCache};
 use crate::gem::{GemEdge, GemState};
 use crate::outcome::{
     DisclosedItem, Disclosure, Evidence, NegotiationOutcome, Refusal, RefusalReason,
@@ -198,56 +198,17 @@ pub fn negotiate_traced(
     telemetry: &Telemetry,
 ) -> NegotiationOutcome {
     negotiate_with_cache(
-        peers,
-        net,
-        cfg,
-        nid,
-        requester,
-        responder,
-        goal,
-        CacheRef::None,
-        None,
-        telemetry,
+        peers, net, cfg, nid, requester, responder, goal, None, None, telemetry,
     )
     .0
 }
 
-/// [`negotiate_traced`] backed by a shared cross-negotiation
-/// [`RemoteAnswerCache`]: delegated queries whose (public, verified)
+/// [`negotiate_traced`] backed by a cross-negotiation
+/// [`SharedRemoteAnswerCache`]: delegated queries whose (public, verified)
 /// answers were cached by an earlier negotiation are answered locally
-/// instead of crossing the network. See `crate::answer_cache` for the
-/// freshness and soundness rules.
-#[allow(clippy::too_many_arguments)]
-pub fn negotiate_cached(
-    peers: &mut PeerMap,
-    net: &mut SimNetwork,
-    cfg: SessionConfig,
-    nid: NegotiationId,
-    requester: PeerId,
-    responder: PeerId,
-    goal: Literal,
-    cache: &mut RemoteAnswerCache,
-    telemetry: &Telemetry,
-) -> NegotiationOutcome {
-    negotiate_with_cache(
-        peers,
-        net,
-        cfg,
-        nid,
-        requester,
-        responder,
-        goal,
-        CacheRef::Exclusive(cache),
-        None,
-        telemetry,
-    )
-    .0
-}
-
-/// [`negotiate_cached`] against a thread-safe
-/// [`SharedRemoteAnswerCache`]: the same semantics, but the cache can be
-/// shared with sessions running concurrently on other threads (the batch
-/// scheduler's warm-cache mode).
+/// instead of crossing the network. The cache can be shared with
+/// sessions running concurrently on other threads. See
+/// `crate::answer_cache` for the freshness and soundness rules.
 #[allow(clippy::too_many_arguments)]
 pub fn negotiate_shared_cached(
     peers: &mut PeerMap,
@@ -268,84 +229,16 @@ pub fn negotiate_shared_cached(
         requester,
         responder,
         goal,
-        CacheRef::Shared(cache),
+        Some(cache),
         None,
         telemetry,
     )
     .0
 }
 
-/// How a session reaches the cross-negotiation answer cache: not at all,
-/// through an exclusive borrow (single-threaded `negotiate_cached`), or
-/// through a thread-safe shared handle (`negotiate_shared_cached`). The
-/// enum keeps one `Session` implementation serving both regimes.
-pub(crate) enum CacheRef<'a> {
-    None,
-    Exclusive(&'a mut RemoteAnswerCache),
-    Shared(&'a SharedRemoteAnswerCache),
-}
-
-impl CacheRef<'_> {
-    fn is_attached(&self) -> bool {
-        !matches!(self, CacheRef::None)
-    }
-
-    fn lookup(
-        &mut self,
-        requester: PeerId,
-        responder: PeerId,
-        canonical: &Literal,
-        now: u64,
-        responder_kb_len: usize,
-    ) -> Option<Vec<Literal>> {
-        match self {
-            CacheRef::None => None,
-            CacheRef::Exclusive(c) => {
-                c.lookup(requester, responder, canonical, now, responder_kb_len)
-            }
-            CacheRef::Shared(c) => c.lookup(requester, responder, canonical, now, responder_kb_len),
-        }
-    }
-
-    /// Insert, returning whether a cache was attached (for accounting).
-    #[allow(clippy::too_many_arguments)]
-    fn insert(
-        &mut self,
-        requester: PeerId,
-        responder: PeerId,
-        canonical: Literal,
-        answers: Vec<Literal>,
-        now: u64,
-        responder_kb_len: usize,
-    ) -> bool {
-        match self {
-            CacheRef::None => false,
-            CacheRef::Exclusive(c) => {
-                c.insert(
-                    requester,
-                    responder,
-                    canonical,
-                    answers,
-                    now,
-                    responder_kb_len,
-                );
-                true
-            }
-            CacheRef::Shared(c) => {
-                c.insert(
-                    requester,
-                    responder,
-                    canonical,
-                    answers,
-                    now,
-                    responder_kb_len,
-                );
-                true
-            }
-        }
-    }
-}
-
+/// The one session driver behind every parsimonious entry point: an
+/// optional cross-negotiation cache and an optional resilience layer
+/// (which, when attached, also yields a [`ResilienceReport`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn negotiate_with_cache(
     peers: &mut PeerMap,
@@ -355,7 +248,7 @@ pub(crate) fn negotiate_with_cache(
     requester: PeerId,
     responder: PeerId,
     goal: Literal,
-    answer_cache: CacheRef<'_>,
+    answer_cache: Option<&SharedRemoteAnswerCache>,
     resilience: Option<ResilienceConfig>,
     telemetry: &Telemetry,
 ) -> (NegotiationOutcome, Option<ResilienceReport>) {
@@ -524,7 +417,7 @@ pub(crate) struct Session<'a> {
     /// (requester, responder, canonical goal). See `crate::answer_cache`.
     session_answers: HashMap<CacheKey, Vec<Literal>>,
     /// Optional shared cross-negotiation cache (public answers only).
-    answer_cache: CacheRef<'a>,
+    answer_cache: Option<&'a SharedRemoteAnswerCache>,
     /// When attached, deliveries are supervised: deadlines, retries with
     /// backoff, duplicate suppression, crash-resume (see
     /// [`crate::resilience`]). `None` leaves the driver byte-identical to
@@ -1005,13 +898,10 @@ impl<'a> Session<'a> {
                 return hit.clone();
             }
         }
-        if self.answer_cache.is_attached() {
+        if let Some(cache) = self.answer_cache {
             let kb_len = self.peers.get(to).map(|p| p.kb.len()).unwrap_or(0);
             let now = self.net.now();
-            if let Some(hit) = self
-                .answer_cache
-                .lookup(from, to, &cache_key.2, now, kb_len)
-            {
+            if let Some(hit) = cache.lookup(from, to, &cache_key.2, now, kb_len) {
                 if self.telemetry.enabled() {
                     self.telemetry.incr("negotiation.cache.cross_hits", 1);
                 }
@@ -1019,7 +909,7 @@ impl<'a> Session<'a> {
             }
         }
         if self.telemetry.enabled()
-            && (self.cfg.cache_remote_answers || self.answer_cache.is_attached())
+            && (self.cfg.cache_remote_answers || self.answer_cache.is_some())
         {
             self.telemetry.incr("negotiation.cache.misses", 1);
         }
@@ -1316,18 +1206,13 @@ impl<'a> Session<'a> {
             // exchange: every answer publicly released and none dropped by
             // verification. Context-guarded answers never cross sessions.
             if all_public && !any_dropped {
-                let kb_len = self.peers.get(to).map(|p| p.kb.len()).unwrap_or(0);
-                let now = self.net.now();
-                let inserted = self.answer_cache.insert(
-                    from,
-                    to,
-                    cache_key.2,
-                    accepted_answers.clone(),
-                    now,
-                    kb_len,
-                );
-                if inserted && self.telemetry.enabled() {
-                    self.telemetry.incr("negotiation.cache.inserts", 1);
+                if let Some(cache) = self.answer_cache {
+                    let kb_len = self.peers.get(to).map(|p| p.kb.len()).unwrap_or(0);
+                    let now = self.net.now();
+                    cache.insert(from, to, cache_key.2, accepted_answers.clone(), now, kb_len);
+                    if self.telemetry.enabled() {
+                        self.telemetry.incr("negotiation.cache.inserts", 1);
+                    }
                 }
             }
         }
@@ -2377,9 +2262,9 @@ mod tests {
         // negotiation cache — a later negotiation that could succeed
         // (e.g. with GEM on) must not be fed the cached refusal.
         let mut peers = mutual_recursion_peers();
-        let mut cache = RemoteAnswerCache::default();
+        let cache = SharedRemoteAnswerCache::new();
         let mut net = SimNetwork::new(7);
-        let out = negotiate_cached(
+        let out = negotiate_shared_cached(
             &mut peers,
             &mut net,
             SessionConfig::default(),
@@ -2387,7 +2272,7 @@ mod tests {
             PeerId::new("B"),
             PeerId::new("A"),
             parse_literal(r#"r(4) @ "A""#).unwrap(),
-            &mut cache,
+            &cache,
             &Telemetry::disabled(),
         );
         assert!(!out.success);
@@ -2413,14 +2298,14 @@ mod tests {
         // answer — i.e. no partial (mid-fixpoint) set was cached by the
         // first.
         let mut peers = mutual_recursion_peers();
-        let mut cache = RemoteAnswerCache::default();
+        let cache = SharedRemoteAnswerCache::new();
         let cfg = SessionConfig {
             gem: true,
             ..SessionConfig::default()
         };
         for nid in 1..=2u64 {
             let mut net = SimNetwork::new(7);
-            let out = negotiate_cached(
+            let out = negotiate_shared_cached(
                 &mut peers,
                 &mut net,
                 cfg.clone(),
@@ -2428,7 +2313,7 @@ mod tests {
                 PeerId::new("B"),
                 PeerId::new("A"),
                 parse_literal(r#"r(4) @ "A""#).unwrap(),
-                &mut cache,
+                &cache,
                 &Telemetry::disabled(),
             );
             assert!(out.success, "negotiation {nid} failed: {:?}", out.refusals);

@@ -10,10 +10,10 @@
 
 use crate::eager::{negotiate_eager, EagerConfig};
 use crate::outcome::NegotiationOutcome;
-use crate::session::{negotiate, negotiate_traced, record_outcome, PeerMap, SessionConfig};
+use crate::session::{negotiate_traced, record_outcome, PeerMap, SessionConfig};
 use peertrust_core::{Literal, PeerId};
 use peertrust_net::{NegotiationId, SimNetwork};
-use peertrust_telemetry::{Field, Telemetry};
+use peertrust_telemetry::{Field, SpanId, Telemetry};
 
 /// Which negotiation strategy drives the disclosure process.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -36,42 +36,12 @@ impl Strategy {
         }
     }
 
-    /// Run a negotiation with this strategy under default driver settings.
-    pub fn run(
-        self,
-        peers: &mut PeerMap,
-        net: &mut SimNetwork,
-        nid: NegotiationId,
-        requester: PeerId,
-        responder: PeerId,
-        goal: Literal,
-    ) -> NegotiationOutcome {
-        match self {
-            Strategy::Parsimonious => negotiate(
-                peers,
-                net,
-                SessionConfig::default(),
-                nid,
-                requester,
-                responder,
-                goal,
-            ),
-            Strategy::Eager => negotiate_eager(
-                peers,
-                net,
-                EagerConfig::default(),
-                nid,
-                requester,
-                responder,
-                goal,
-            ),
-        }
-    }
-
-    /// [`Strategy::run`] with a telemetry pipeline. The parsimonious
-    /// driver traces every query/disclosure/refusal; the eager driver is
-    /// wrapped in a `negotiation` span with outcome-level metrics (its
-    /// round loop has no per-item decision points to instrument).
+    /// Run a negotiation with this strategy under default driver
+    /// settings, reporting into `telemetry` (`Telemetry::disabled()` for
+    /// an untraced run). The parsimonious driver traces every
+    /// query/disclosure/refusal; the eager driver is wrapped in a
+    /// `negotiation` span with outcome-level metrics (its round loop has
+    /// no per-item decision points to instrument).
     #[allow(clippy::too_many_arguments)]
     pub fn run_traced(
         self,
@@ -95,17 +65,22 @@ impl Strategy {
                 telemetry,
             ),
             Strategy::Eager => {
-                let span = telemetry.span_start(
-                    net.now(),
-                    nid.0,
-                    "negotiation",
-                    vec![
-                        Field::str("strategy", "eager"),
-                        Field::str("requester", requester.to_string()),
-                        Field::str("responder", responder.to_string()),
-                        Field::str("goal", goal.to_string()),
-                    ],
-                );
+                // Untraced runs skip building the span fields entirely.
+                let span = if telemetry.enabled() {
+                    telemetry.span_start(
+                        net.now(),
+                        nid.0,
+                        "negotiation",
+                        vec![
+                            Field::str("strategy", "eager"),
+                            Field::str("requester", requester.to_string()),
+                            Field::str("responder", responder.to_string()),
+                            Field::str("goal", goal.to_string()),
+                        ],
+                    )
+                } else {
+                    SpanId::NONE
+                };
                 let outcome = negotiate_eager(
                     peers,
                     net,
@@ -184,13 +159,14 @@ mod tests {
         for strat in Strategy::ALL {
             let mut peers = build();
             let mut net = SimNetwork::new(11);
-            let out = strat.run(
+            let out = strat.run_traced(
                 &mut peers,
                 &mut net,
                 NegotiationId(1),
                 PeerId::new("Alice"),
                 PeerId::new("E-Learn"),
                 goal.clone(),
+                &Telemetry::disabled(),
             );
             assert!(out.success, "{strat} failed");
             crate::outcome::verify_safe_sequence(&out).unwrap();

@@ -80,21 +80,12 @@ impl Default for ThreadedConfig {
     }
 }
 
-/// Run one eager negotiation with each peer on its own thread.
+/// Run one eager negotiation with each peer on its own thread, tuned by
+/// `cfg` (notably the receive timeout).
 ///
 /// Consumes the two peers (they move into their threads) and returns the
 /// outcome observed by the requester plus router statistics.
 pub fn negotiate_threaded(
-    requester: NegotiationPeer,
-    responder: NegotiationPeer,
-    goal: Literal,
-) -> ThreadedOutcome {
-    negotiate_threaded_with(requester, responder, goal, ThreadedConfig::default())
-}
-
-/// [`negotiate_threaded`] with an explicit [`ThreadedConfig`] (notably a
-/// non-default timeout).
-pub fn negotiate_threaded_with(
     requester: NegotiationPeer,
     responder: NegotiationPeer,
     goal: Literal,
@@ -370,6 +361,7 @@ mod tests {
             alice,
             server,
             parse_literal(r#"resource("T-Alice")"#).unwrap(),
+            ThreadedConfig::default(),
         );
         assert!(out.success, "disclosures: {:#?}", out.disclosures);
         assert!(out.messages_routed >= 4);
@@ -397,6 +389,7 @@ mod tests {
             client,
             server,
             parse_literal(r#"resource("F-Client")"#).unwrap(),
+            ThreadedConfig::default(),
         );
         assert!(!out.success);
         assert_eq!(
@@ -421,7 +414,7 @@ mod tests {
         server.load_program(&program).unwrap();
         let client = NegotiationPeer::new("S-Client", reg);
 
-        let out = negotiate_threaded_with(
+        let out = negotiate_threaded(
             client,
             server,
             parse_literal(r#"resource("S-Client")"#).unwrap(),

@@ -89,6 +89,7 @@ fn observe(seed: u64, lane: Option<FaultPlan>, resilient: bool) -> (String, Stri
             PeerId::new("Alice"),
             PeerId::new("E-Learn"),
             goal,
+            None,
             &tele,
         )
         .0
@@ -199,6 +200,7 @@ proptest! {
             PeerId::new("Alice"),
             PeerId::new("E-Learn"),
             parse_literal(r#"resource("Alice")"#).unwrap(),
+            None,
             &Telemetry::disabled(),
         );
         prop_assert!(report.converged, "failures: {:?}", report.failures);
@@ -231,6 +233,7 @@ proptest! {
             PeerId::new("Alice"),
             PeerId::new("E-Learn"),
             parse_literal(r#"resource("Alice")"#).unwrap(),
+            None,
             &Telemetry::disabled(),
         );
         prop_assert!(report.converged, "failures: {:?}", report.failures);
@@ -253,6 +256,7 @@ proptest! {
             PeerId::new("Alice"),
             PeerId::new("E-Learn"),
             parse_literal(r#"resource("Alice")"#).unwrap(),
+            None,
             &Telemetry::disabled(),
         );
         prop_assert!(!out.success);

@@ -20,6 +20,7 @@ use peertrust_negotiation::{
     verify_safe_sequence, NegotiationPeer, PeerMap, Strategy as NegStrategy,
 };
 use peertrust_net::{NegotiationId, SimNetwork};
+use peertrust_telemetry::Telemetry;
 use proptest::prelude::*;
 
 const CA: &str = "PropCA";
@@ -131,13 +132,14 @@ fn run(
     seed: u64,
 ) -> peertrust_negotiation::NegotiationOutcome {
     let mut net = SimNetwork::new(seed);
-    strategy.run(
+    strategy.run_traced(
         peers,
         &mut net,
         NegotiationId(1),
         PeerId::new("Client"),
         PeerId::new("Server"),
         goal.clone(),
+        &Telemetry::disabled(),
     )
 }
 

@@ -88,6 +88,7 @@ fn observe(seed: u64, plan: Option<FaultPlan>) -> (Vec<TraceEvent>, NegotiationO
             PeerId::new("Alice"),
             PeerId::new("E-Learn"),
             goal,
+            None,
             &tele,
         )
         .0

@@ -672,16 +672,18 @@ mod tests {
     use super::*;
     use peertrust_negotiation::{verify_safe_sequence, Strategy};
     use peertrust_net::{NegotiationId, SimNetwork};
+    use peertrust_telemetry::Telemetry;
 
     fn run(w: &mut Workload, strategy: Strategy) -> peertrust_negotiation::NegotiationOutcome {
         let mut net = SimNetwork::new(w.requester.0.index() as u64);
-        strategy.run(
+        strategy.run_traced(
             &mut w.peers,
             &mut net,
             NegotiationId(1),
             w.requester,
             w.responder,
             w.goal.clone(),
+            &Telemetry::disabled(),
         )
     }
 

@@ -20,6 +20,7 @@ use peertrust_core::{Literal, PeerId, Term};
 use peertrust_crypto::KeyRegistry;
 use peertrust_negotiation::{NegotiationOutcome, NegotiationPeer, PeerMap, Strategy};
 use peertrust_net::{NegotiationId, SimNetwork};
+use peertrust_telemetry::Telemetry;
 
 pub const HANDHELD: &str = "Bob";
 pub const HOME: &str = "Bob-Home";
@@ -87,13 +88,14 @@ impl GridScenario {
 
     pub fn run(&mut self, strategy: Strategy) -> NegotiationOutcome {
         let mut net = SimNetwork::new(0xE9);
-        strategy.run(
+        strategy.run_traced(
             &mut self.peers,
             &mut net,
             NegotiationId(9),
             PeerId::new(HANDHELD),
             PeerId::new(VERIFIER),
             GridScenario::goal(),
+            &Telemetry::disabled(),
         )
     }
 }

@@ -26,6 +26,7 @@ use peertrust_core::{Literal, PeerId, Term};
 use peertrust_crypto::KeyRegistry;
 use peertrust_negotiation::{NegotiationOutcome, NegotiationPeer, PeerMap, Strategy};
 use peertrust_net::{NegotiationId, SimNetwork};
+use peertrust_telemetry::Telemetry;
 
 pub const SERVICE: &str = "PrintService";
 pub const STAFF: &str = "Staffer";
@@ -98,13 +99,14 @@ impl IntensionalScenario {
 
     pub fn run(&mut self, requester: &str, goal: Literal) -> NegotiationOutcome {
         let mut net = SimNetwork::new(0x1917);
-        Strategy::Parsimonious.run(
+        Strategy::Parsimonious.run_traced(
             &mut self.peers,
             &mut net,
             NegotiationId(7),
             PeerId::new(requester),
             PeerId::new(SERVICE),
             goal,
+            &Telemetry::disabled(),
         )
     }
 

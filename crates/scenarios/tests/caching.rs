@@ -6,8 +6,8 @@
 use peertrust_core::{Literal, PeerId, Term};
 use peertrust_crypto::KeyRegistry;
 use peertrust_negotiation::{
-    negotiate, negotiate_cached, negotiate_traced, NegotiationPeer, PeerMap, RemoteAnswerCache,
-    SessionConfig, Strategy,
+    negotiate, negotiate_shared_cached, negotiate_traced, NegotiationPeer, PeerMap, SessionConfig,
+    SharedRemoteAnswerCache, Strategy,
 };
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::{delegation_chain, Scenario1};
@@ -152,9 +152,9 @@ fn cross_negotiation_cache_cuts_warm_repeat_messages() {
 
     // Same repeat through a shared remote-answer cache.
     let mut w = delegation_chain(depth);
-    let mut cache = RemoteAnswerCache::new();
+    let cache = SharedRemoteAnswerCache::new();
     let mut net = SimNetwork::new(1);
-    let cold_cached = negotiate_cached(
+    let cold_cached = negotiate_shared_cached(
         &mut w.peers,
         &mut net,
         SessionConfig::default(),
@@ -162,14 +162,14 @@ fn cross_negotiation_cache_cuts_warm_repeat_messages() {
         w.requester,
         w.responder,
         w.goal.clone(),
-        &mut cache,
+        &cache,
         &telemetry,
     );
     assert!(cold_cached.success);
     assert!(cache.stats().inserts >= 1, "public answers must be cached");
 
     let mut net = SimNetwork::new(2);
-    let warm_cached = negotiate_cached(
+    let warm_cached = negotiate_shared_cached(
         &mut w.peers,
         &mut net,
         SessionConfig::default(),
@@ -177,7 +177,7 @@ fn cross_negotiation_cache_cuts_warm_repeat_messages() {
         w.requester,
         w.responder,
         w.goal.clone(),
-        &mut cache,
+        &cache,
         &telemetry,
     );
     assert!(warm_cached.success);

@@ -248,6 +248,7 @@ proptest! {
             requester,
             w.responder,
             w.goal.clone(),
+            None,
             &Telemetry::disabled(),
         );
         prop_assert!(report.converged, "failures: {:?}", report.failures);

@@ -12,6 +12,7 @@ use peertrust::crypto::KeyRegistry;
 use peertrust::negotiation::{verify_safe_sequence, NegotiationPeer, PeerMap, Strategy};
 use peertrust::net::{NegotiationId, SimNetwork};
 use peertrust::parser::parse_literal;
+use peertrust::telemetry::Telemetry;
 
 fn main() {
     // 1. A shared key registry plays the role of the CA infrastructure.
@@ -56,13 +57,14 @@ fn main() {
 
     // 3. Run the negotiation over a simulated network.
     let mut net = SimNetwork::new(42).with_trace();
-    let outcome = Strategy::Parsimonious.run(
+    let outcome = Strategy::Parsimonious.run_traced(
         &mut peers,
         &mut net,
         NegotiationId(1),
         PeerId::new("Alice"),
         PeerId::new("E-Learn"),
         parse_literal(r#"resource("Alice")"#).unwrap(),
+        &Telemetry::disabled(),
     );
 
     // 4. Inspect the result.

@@ -6,6 +6,7 @@
 use peertrust::negotiation::Strategy;
 use peertrust::net::{NegotiationId, SimNetwork};
 use peertrust::scenarios::{chain, random_policies, RandomPolicyConfig};
+use peertrust::telemetry::Telemetry;
 
 fn main() {
     println!("=== Release-dependency chains (experiment E3) ===");
@@ -18,13 +19,14 @@ fn main() {
         for strategy in Strategy::ALL {
             let mut w = chain(depth);
             let mut net = SimNetwork::new(depth as u64);
-            let out = strategy.run(
+            let out = strategy.run_traced(
                 &mut w.peers,
                 &mut net,
                 NegotiationId(1),
                 w.requester,
                 w.responder,
                 w.goal.clone(),
+                &Telemetry::disabled(),
             );
             assert!(out.success, "depth {depth} {strategy}");
             row.push(out);
@@ -62,13 +64,14 @@ fn main() {
             for strategy in Strategy::ALL {
                 let mut w = random_policies(cfg);
                 let mut net = SimNetwork::new(seed);
-                let out = strategy.run(
+                let out = strategy.run_traced(
                     &mut w.peers,
                     &mut net,
                     NegotiationId(1),
                     w.requester,
                     w.responder,
                     w.goal.clone(),
+                    &Telemetry::disabled(),
                 );
                 outs.push((out, w.satisfiable));
             }

@@ -31,6 +31,7 @@ use peertrust::engine::{explain_with_rules, Solver};
 use peertrust::negotiation::{analyze_failure, NegotiationPeer, PeerMap, SessionConfig, Strategy};
 use peertrust::net::{NegotiationId, SimNetwork};
 use peertrust::parser::{parse_labeled_program, parse_literal};
+use peertrust::telemetry::Telemetry;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -233,13 +234,14 @@ fn cmd_negotiate(args: &[String]) -> Result<(), String> {
     if trace {
         net = net.with_trace();
     }
-    let outcome = strategy.run(
+    let outcome = strategy.run_traced(
         &mut peers,
         &mut net,
         NegotiationId(1),
         requester_id,
         responder_id,
         goal.clone(),
+        &Telemetry::disabled(),
     );
 
     if json_out {

@@ -7,6 +7,7 @@ use peertrust::crypto::KeyRegistry;
 use peertrust::negotiation::{negotiate, NegotiationPeer, PeerMap, SessionConfig, Strategy};
 use peertrust::net::{LatencyModel, NegotiationId, SimNetwork, Topology};
 use peertrust::parser::parse_literal;
+use peertrust::telemetry::Telemetry;
 
 fn peers() -> PeerMap {
     let registry = KeyRegistry::new();
@@ -106,13 +107,14 @@ fn eager_strategy_survives_partition() {
     // reaches its fixpoint and reports failure.
     let mut ps = peers();
     let mut net = SimNetwork::with(Topology::links([]), LatencyModel::Constant(1), 0);
-    let out = Strategy::Eager.run(
+    let out = Strategy::Eager.run_traced(
         &mut ps,
         &mut net,
         NegotiationId(1),
         PeerId::new("Alice"),
         PeerId::new("Server"),
         parse_literal(r#"resource("Alice")"#).unwrap(),
+        &Telemetry::disabled(),
     );
     assert!(!out.success);
 }

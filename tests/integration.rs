@@ -6,11 +6,12 @@ use peertrust::core::{PeerId, Term};
 use peertrust::crypto::KeyRegistry;
 use peertrust::negotiation::{
     negotiate, negotiate_threaded, verify_safe_sequence, NegotiationPeer, PeerMap, SessionConfig,
-    Strategy,
+    Strategy, ThreadedConfig,
 };
 use peertrust::net::{NegotiationId, SimNetwork};
 use peertrust::parser::parse_literal;
 use peertrust::scenarios::{chain, Ablation1, Scenario1, Scenario2, Variant2};
+use peertrust::telemetry::Telemetry;
 
 #[test]
 fn scenario1_succeeds_under_both_strategies_via_facade() {
@@ -150,13 +151,14 @@ fn threaded_transport_agrees_with_simulated() {
     peers.insert(alice);
     peers.insert(server);
     let mut net = SimNetwork::new(3);
-    let sim = Strategy::Eager.run(
+    let sim = Strategy::Eager.run_traced(
         &mut peers,
         &mut net,
         NegotiationId(1),
         alice_id,
         server_id,
         parse_literal(r#"resource("AliS")"#).unwrap(),
+        &Telemetry::disabled(),
     );
     assert!(sim.success);
 
@@ -166,6 +168,7 @@ fn threaded_transport_agrees_with_simulated() {
         alice_t,
         server_t,
         parse_literal(r#"resource("AliT")"#).unwrap(),
+        ThreadedConfig::default(),
     );
     assert!(threaded.success);
     // Same disclosure count either way.
