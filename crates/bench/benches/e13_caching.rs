@@ -5,15 +5,14 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, Term};
-use peertrust_engine::{AnswerTable, EngineConfig, SharedTable, Solver};
+use peertrust_engine::{AnswerTable, EngineConfig, Solver};
 use peertrust_negotiation::{
     negotiate, negotiate_shared_cached, SessionConfig, SharedRemoteAnswerCache,
 };
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::{chain, delegation_chain, Scenario1, Scenario2, Variant2, Workload};
 use peertrust_telemetry::Telemetry;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 
 fn closure_kb(n: usize) -> KnowledgeBase {
     let mut kb = KnowledgeBase::new();
@@ -76,7 +75,7 @@ fn bench_solver_tabling(c: &mut Criterion) {
 
         // Warm: one shared answer table, pre-populated once; the measured
         // solves answer the top-level variant straight from the table.
-        let table: SharedTable = Rc::new(RefCell::new(AnswerTable::new()));
+        let table = Arc::new(AnswerTable::new());
         {
             let mut warmer = Solver::new(&kb, PeerId::new("self"))
                 .with_config(engine_config(true))

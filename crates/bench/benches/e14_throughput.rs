@@ -1,8 +1,6 @@
 //! E14: parallel negotiation throughput — negotiations/sec of the batch
 //! scheduler at 1/2/4/8 workers on the scenario-generator grid, cold vs
-//! warm shared remote-answer cache, plus the single-threaded overhead
-//! check for the concurrent answer table (`TableHandle::Concurrent` vs
-//! the `Rc<RefCell<_>>` baseline on the same warm workload).
+//! warm shared remote-answer cache.
 //!
 //! Scaling caveat: wall-clock speedup at >1 workers requires real cores;
 //! on a single-core host the worker counts measure scheduling overhead
@@ -10,14 +8,9 @@
 //! (`negotiation.throughput.*`) tells the two situations apart.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, Term};
-use peertrust_engine::{AnswerTable, ConcurrentTable, EngineConfig, SharedTable, Solver};
 use peertrust_negotiation::{negotiate_batch, BatchConfig, SharedRemoteAnswerCache};
 use peertrust_scenarios::throughput_grid;
 use peertrust_telemetry::Telemetry;
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
 
 const CLIENTS: usize = 8;
 const REPEATS: usize = 4;
@@ -111,91 +104,5 @@ fn bench_batch_cache(c: &mut Criterion) {
     group.finish();
 }
 
-fn closure_kb(n: usize) -> KnowledgeBase {
-    let mut kb = KnowledgeBase::new();
-    kb.add_local(Rule::horn(
-        Literal::new("reach", vec![Term::var("X"), Term::var("Y")]),
-        vec![Literal::new("edge", vec![Term::var("X"), Term::var("Y")])],
-    ));
-    kb.add_local(Rule::horn(
-        Literal::new("reach", vec![Term::var("X"), Term::var("Z")]),
-        vec![
-            Literal::new("edge", vec![Term::var("X"), Term::var("Y")]),
-            Literal::new("reach", vec![Term::var("Y"), Term::var("Z")]),
-        ],
-    ));
-    for i in 0..n {
-        kb.add_local(Rule::fact(Literal::new(
-            "edge",
-            vec![Term::int(i as i64), Term::int(i as i64 + 1)],
-        )));
-    }
-    kb
-}
-
-fn engine_config() -> EngineConfig {
-    EngineConfig {
-        max_solutions: usize::MAX,
-        max_depth: 4096,
-        tabling: true,
-        ..EngineConfig::default()
-    }
-}
-
-/// Single-threaded handle-overhead check: the same warm tabled solve
-/// through the `Rc<RefCell<_>>` table and through the sharded concurrent
-/// table. The two series should be indistinguishable — the concurrent
-/// table's read-lock probe is the only extra cost on a hit.
-fn bench_table_handles(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e14_table");
-    group.sample_size(20);
-    for n in [64usize, 256] {
-        let kb = closure_kb(n);
-        let goal = [Literal::new("reach", vec![Term::int(0), Term::var("W")])];
-
-        let local: SharedTable = Rc::new(RefCell::new(AnswerTable::new()));
-        {
-            let mut warmer = Solver::new(&kb, PeerId::new("self"))
-                .with_config(engine_config())
-                .with_table(local.clone());
-            assert_eq!(warmer.solve(&goal).len(), n);
-        }
-        group.bench_with_input(BenchmarkId::new("local_warm", n), &kb, |b, kb| {
-            b.iter(|| {
-                let mut solver = Solver::new(kb, PeerId::new("self"))
-                    .with_config(engine_config())
-                    .with_table(local.clone());
-                let count = solver.solve(&goal).len();
-                assert_eq!(count, n);
-                count
-            })
-        });
-
-        let shared = Arc::new(ConcurrentTable::new());
-        {
-            let mut warmer = Solver::new(&kb, PeerId::new("self"))
-                .with_config(engine_config())
-                .with_concurrent_table(shared.clone());
-            assert_eq!(warmer.solve(&goal).len(), n);
-        }
-        group.bench_with_input(BenchmarkId::new("concurrent_warm", n), &kb, |b, kb| {
-            b.iter(|| {
-                let mut solver = Solver::new(kb, PeerId::new("self"))
-                    .with_config(engine_config())
-                    .with_concurrent_table(shared.clone());
-                let count = solver.solve(&goal).len();
-                assert_eq!(count, n);
-                count
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_batch_workers,
-    bench_batch_cache,
-    bench_table_handles
-);
+criterion_group!(benches, bench_batch_workers, bench_batch_cache);
 criterion_main!(benches);

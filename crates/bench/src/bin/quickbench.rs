@@ -5,13 +5,11 @@
 //! writes the result as JSON (default `target/BENCH_PR8.json`). This is
 //! what `cargo xtask bench --quick` invokes in CI: fast enough to run on
 //! every push, deterministic in workload shape, and comparable against
-//! the committed baselines (`BENCH_BASELINE_PR5.json`,
-//! `BENCH_BASELINE_PR8.json`).
+//! the committed baseline `BENCH_BASELINE.json`.
 //!
 //! Usage:
 //!   quickbench [--quick] [--lane interpreted|compiled|both]
-//!              [--out PATH] [--baseline PATH] [--baseline-pr8 PATH]
-//!              [--baseline-pr9 PATH] [--baseline-pr10 PATH]
+//!              [--out PATH] [--baseline PATH]
 //!
 //! `--quick` lowers iteration counts for CI smoke runs. `--lane` selects
 //! which scenario lane runs (default `both`): the interpreted lane is
@@ -36,28 +34,22 @@
 //!   The 1.3x stretch target is reported per scenario. Same-run ratios
 //!   are immune to machine-wide slowdowns (CI throttling inflates both
 //!   lanes equally).
-//! - `--baseline` (PR5 format): fail if interpreted `e8_deep_chain_cold`
-//!   regressed >25%; the legacy (clone-per-branch) speedup is printed.
-//! - `--baseline-pr8` / `--baseline-pr9` / `--baseline-pr10`: fail if a
-//!   *cold* scenario (e8/e13, either lane) present in both the fresh run
-//!   and the baseline regressed >25%; `e17_gem_mesh` and `e18_serving`
-//!   (the open-loop serving engine, tracked since
-//!   `BENCH_BASELINE_PR10.json`) are gated at a generous 3x;
-//!   warm/batch/legacy deltas are reported informationally. Work
-//!   counters present in both must match exactly — for e18 that pins the
-//!   admission decisions (admitted/shed counts, queue peak, makespan,
-//!   tick-exact wait/latency p99) and `base_clones == 0`, the clone-free
-//!   startup guard.
+//! - `--baseline`: fail if a *cold* scenario (e8/e13, either lane)
+//!   present in both the fresh run and the baseline regressed >25%;
+//!   `e17_gem_mesh` and `e18_serving` (the open-loop serving engine) are
+//!   gated at a generous 3x; warm/batch deltas are reported
+//!   informationally. Work counters present in both must match exactly —
+//!   for e18 that pins the admission decisions (admitted/shed counts,
+//!   queue peak, makespan, tick-exact wait/latency p99) and
+//!   `base_clones == 0`, the clone-free startup guard.
 
 use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, Term};
-use peertrust_engine::{AnswerTable, CompiledKb, EngineConfig, RefSolver, SharedTable, Solver};
+use peertrust_engine::{AnswerTable, CompiledKb, EngineConfig, Solver};
 use peertrust_negotiation::{
     negotiate_batch, serve_open_loop, BatchConfig, BatchJob, ServeConfig, SessionConfig,
 };
 use peertrust_scenarios::{delegation_mesh, serving_workload, throughput_grid};
 use peertrust_telemetry::Telemetry;
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -259,6 +251,21 @@ fn read_counter(json: &str, key: &str) -> Option<u64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Reject unknown flags so a retired gate flag fails loudly instead
+    // of being silently ignored.
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        match a.as_str() {
+            "--quick" => {}
+            "--out" | "--baseline" | "--lane" => {
+                rest.next();
+            }
+            other => {
+                eprintln!("unknown argument {other}: expected --quick, --lane, --out, --baseline");
+                std::process::exit(2);
+            }
+        }
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let arg_val = |flag: &str| {
         args.iter()
@@ -268,9 +275,6 @@ fn main() {
     };
     let out_path = arg_val("--out").unwrap_or_else(|| "target/BENCH_PR8.json".to_string());
     let baseline_path = arg_val("--baseline");
-    let baseline_pr8_path = arg_val("--baseline-pr8");
-    let baseline_pr9_path = arg_val("--baseline-pr9");
-    let baseline_pr10_path = arg_val("--baseline-pr10");
     let lane = arg_val("--lane").unwrap_or_else(|| "both".to_string());
     let (run_interp, run_compiled) = match lane.as_str() {
         "interpreted" => (true, false),
@@ -365,16 +369,6 @@ fn main() {
     }
 
     if run_interp {
-        // The e8 workload through the clone-per-branch reference
-        // interpreter (the pre-trail algorithm, kept in-tree). The ratio
-        // legacy/trail is a machine-independent speedup figure: both
-        // numbers come from the same process on the same hardware.
-        report.record("e8_deep_chain_legacy", deep_iters, 128, || {
-            let mut solver =
-                RefSolver::new(&deep, PeerId::new("self")).with_config(engine_config(false));
-            solver.solve(&deep_goal).len()
-        });
-
         // Deterministic work counters for the cold interpreted scenarios.
         let mut replay = Solver::new(&deep, PeerId::new("self")).with_config(engine_config(false));
         assert_eq!(replay.solve(&deep_goal).len(), 128);
@@ -384,7 +378,7 @@ fn main() {
         report.count("e13_tabled_cold", &replay.stats());
 
         // e13: warm table — answers served from a pre-populated shared table.
-        let table: SharedTable = Rc::new(RefCell::new(AnswerTable::new()));
+        let table = Arc::new(AnswerTable::new());
         {
             let mut warmer = Solver::new(&tbl_kb, PeerId::new("self"))
                 .with_config(engine_config(true))
@@ -496,7 +490,7 @@ fn main() {
         report.count("e13_compiled_cold", &replay.stats());
 
         // e13 warm through the compiled path.
-        let table: SharedTable = Rc::new(RefCell::new(AnswerTable::new()));
+        let table = Arc::new(AnswerTable::new());
         {
             let mut warmer = Solver::new(&tbl_kb, PeerId::new("self"))
                 .with_config(engine_config(true))
@@ -535,15 +529,6 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("wrote {out_path}");
 
-    if let (Some(trail), Some(legacy)) = (
-        read_median(&json, "e8_deep_chain_cold"),
-        read_median(&json, "e8_deep_chain_legacy"),
-    ) {
-        println!(
-            "e8 deep-chain speedup: legacy {legacy} ns / trail {trail} ns = {:.2}x",
-            legacy as f64 / trail as f64
-        );
-    }
     if let (Some(compiled), Some(interp)) = (
         read_median(&json, "e8_deep_chain_compiled"),
         read_median(&json, "e8_deep_chain_cold"),
@@ -595,42 +580,7 @@ fn main() {
     }
 
     if let Some(bp) = baseline_path {
-        let base =
-            std::fs::read_to_string(&bp).unwrap_or_else(|e| panic!("read baseline {bp}: {e}"));
-        let base_ns =
-            read_median(&base, "e8_deep_chain_cold").expect("baseline missing e8_deep_chain_cold");
-        if let Some(new_ns) = read_median(&json, "e8_deep_chain_cold") {
-            let ratio = new_ns as f64 / base_ns as f64;
-            println!(
-                "e8_deep_chain_cold vs baseline: {new_ns} ns / {base_ns} ns = {ratio:.3}x baseline"
-            );
-            if ratio > 1.25 {
-                eprintln!("FAIL: e8_deep_chain_cold regressed >25% vs {bp}");
-                failed = true;
-            } else {
-                println!("OK: within the 25% regression budget");
-            }
-        }
-        // Historical context only: the old PR7 gate (compiled ≥2x the
-        // clone-based legacy interpreter) is superseded by the same-run
-        // parity gate above, which holds the compiled lane to a stricter
-        // reference — the *current* trail-based interpreter.
-        if let Some(compiled_ns) = read_median(&json, "e8_deep_chain_compiled") {
-            let pr5 = base_ns as f64 / compiled_ns as f64;
-            println!(
-                "e8_deep_chain_compiled vs PR5 interpreted baseline: {base_ns} ns / {compiled_ns} ns = {pr5:.2}x (informational)"
-            );
-        }
-    }
-
-    if let Some(bp8) = baseline_pr8_path {
-        failed |= baseline_sweep(&report, &json, &bp8, "PR8");
-    }
-    if let Some(bp9) = baseline_pr9_path {
-        failed |= baseline_sweep(&report, &json, &bp9, "PR9");
-    }
-    if let Some(bp10) = baseline_pr10_path {
-        failed |= baseline_sweep(&report, &json, &bp10, "PR10");
+        failed |= baseline_sweep(&report, &json, &bp);
     }
 
     if failed {
@@ -643,13 +593,13 @@ fn main() {
 ///
 /// The scenarios gated at 25% are the cold e8/e13 runs in each lane —
 /// the tracked solver metrics, measured over full iteration counts.
-/// Warm/batch/legacy medians are reported but not gated: their lower
+/// Warm/batch medians are reported but not gated: their lower
 /// iteration counts make a hard 25% bound flaky. `e17_gem_mesh` shares
 /// the low batch iteration counts, so it gets a generous 3x guard
 /// instead — loose enough for scheduler-batch noise, tight enough to
 /// catch a catastrophic fixpoint regression (e.g. every SCC grinding to
 /// the round limit).
-fn baseline_sweep(report: &Report, json: &str, path: &str, label: &str) -> bool {
+fn baseline_sweep(report: &Report, json: &str, path: &str) -> bool {
     const GATED_25PCT: &[&str] = &[
         "e8_deep_chain_cold",
         "e13_tabled_cold",
@@ -674,7 +624,7 @@ fn baseline_sweep(report: &Report, json: &str, path: &str, label: &str) -> bool 
             None
         };
         println!(
-            "{name} vs {label} baseline: {new_ns} ns / {base_ns} ns = {ratio:.3}x{}",
+            "{name} vs baseline: {new_ns} ns / {base_ns} ns = {ratio:.3}x{}",
             if budget.is_some() {
                 ""
             } else {
@@ -702,6 +652,6 @@ fn baseline_sweep(report: &Report, json: &str, path: &str, label: &str) -> bool 
             failed = true;
         }
     }
-    println!("{label} baseline sweep complete ({checked} counters matched exactly)");
+    println!("baseline sweep complete ({checked} counters matched exactly)");
     failed
 }

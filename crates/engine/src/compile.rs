@@ -75,11 +75,9 @@
 //! PR 7's interpreted body instantiation), and
 //! [`crate::reference::RefSolver`]; see `tests/prop_compiled.rs`.
 
-use crate::sld::{EngineConfig, Solution, Stats};
-use crate::Solver;
 use peertrust_core::{
     offset_term, unify_ground_in, unify_offset_in, Bindings, IndexKey, KbFingerprint,
-    KnowledgeBase, Literal, PeerId, Rule, RuleId, Sym, Term, UnifyOptions, Var,
+    KnowledgeBase, Literal, Rule, RuleId, Sym, Term, UnifyOptions, Var,
 };
 use std::sync::Arc;
 
@@ -577,52 +575,11 @@ fn lower(t: &Term, seen: &mut Vec<Var>) -> HeadInstr {
     }
 }
 
-/// A solver running over a compiled KB: the existing [`Solver`] surface
-/// (same `Subst` boundary, proofs, tabling, telemetry) with the compiled
-/// artifact attached and `EngineConfig::compiled` forced on. The thin
-/// wrapper exists so call sites that always want the compiled path don't
-/// have to thread the `Arc` and the flag separately.
-pub struct CompiledSolver<'a> {
-    inner: Solver<'a>,
-}
-
-impl<'a> CompiledSolver<'a> {
-    /// Solve over `kb` using `compiled` (typically
-    /// `CompiledKb::compile(kb)` shared via `Arc` across solvers).
-    pub fn new(kb: &'a KnowledgeBase, self_id: PeerId, compiled: Arc<CompiledKb>) -> Self {
-        CompiledSolver {
-            inner: Solver::new(kb, self_id).with_compiled(compiled),
-        }
-    }
-
-    pub fn with_config(mut self, mut config: EngineConfig) -> Self {
-        config.compiled = true;
-        self.inner = self.inner.with_config(config);
-        self
-    }
-
-    pub fn solve(&mut self, goals: &[Literal]) -> Vec<Solution> {
-        self.inner.solve(goals)
-    }
-
-    pub fn provable(&mut self, goals: &[Literal]) -> bool {
-        self.inner.provable(goals)
-    }
-
-    pub fn stats(&self) -> Stats {
-        self.inner.stats()
-    }
-
-    /// The underlying solver, for attaching hooks/tables/telemetry.
-    pub fn solver(&mut self) -> &mut Solver<'a> {
-        &mut self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peertrust_core::unify_literals_in;
+    use crate::Solver;
+    use peertrust_core::{unify_literals_in, PeerId};
 
     fn kb_from(rules: Vec<Rule>) -> KnowledgeBase {
         rules.into_iter().collect()
@@ -809,7 +766,7 @@ mod tests {
             .collect();
 
         let compiled = Arc::new(CompiledKb::compile(&kb));
-        let mut cs = CompiledSolver::new(&kb, me, compiled);
+        let mut cs = Solver::new(&kb, me).with_compiled(compiled);
         let got: Vec<String> = cs
             .solve(std::slice::from_ref(&goal))
             .iter()
@@ -866,20 +823,6 @@ mod tests {
         assert_eq!(answers, vec!["p(compiled)", "p(appended)"]);
         assert!(s.stats().compiled_dispatches > 0);
         assert_eq!(s.stats().compiled_stale, 0);
-    }
-
-    #[test]
-    fn engine_config_compiled_autocompiles() {
-        let kb = kb_from(vec![Rule::fact(lit("p", vec![Term::atom("a")]))]);
-        let me = PeerId::new("me");
-        let goal = lit("p", vec![Term::var("X")]);
-        let mut s = Solver::new(&kb, me).with_config(EngineConfig {
-            compiled: true,
-            ..EngineConfig::default()
-        });
-        let answers = s.solve(std::slice::from_ref(&goal));
-        assert_eq!(answers.len(), 1);
-        assert!(s.stats().compiled_dispatches > 0, "auto-compiled path ran");
     }
 
     #[test]

@@ -15,16 +15,17 @@
 //!   (`Price < 2000`, `Requester = Self`).
 //! * [`table`] — SLD answer tabling for the definite-Horn fragment,
 //!   enabled via [`EngineConfig::tabling`]; memoizes answers (with their
-//!   proofs) per goal variant so negotiations stop re-deriving the same
-//!   subgoals.
+//!   proofs) per goal variant in one sharded [`AnswerTable`], which
+//!   successive solvers or solver threads may share behind an `Arc`, so
+//!   negotiations stop re-deriving the same subgoals.
 //! * [`mod@reference`] — the pre-trail clone-per-branch interpreter, kept as a
 //!   differential-testing oracle and in-process benchmark baseline for the
 //!   trail-based hot path.
 //! * [`compile`] — the WAM-lite policy compiler: a one-shot pass from a
 //!   [`peertrust_core::KnowledgeBase`] to a flat bytecode KB
 //!   (switch-on-constant clause dispatch, get-instruction head matching,
-//!   frame-based standardize-apart), consulted by the solver when
-//!   [`EngineConfig::compiled`] is on or a [`CompiledKb`] is attached, and
+//!   frame-based standardize-apart), consulted by the solver once a
+//!   [`CompiledKb`] is attached with [`Solver::with_compiled`], and
 //!   guarded by a KB fingerprint so a stale artifact is never consulted.
 
 pub mod builtins;
@@ -36,12 +37,12 @@ pub mod sld;
 pub mod table;
 
 pub use builtins::{eval_builtin, eval_builtin_in, BuiltinOutcome, BuiltinOutcomeIn};
-pub use compile::{CompiledFit, CompiledKb, CompiledSolver, HeadInstr};
+pub use compile::{CompiledFit, CompiledKb, HeadInstr};
 pub use explain::{explain, explain_with_rules, proof_summary};
 pub use forward::{saturate, ForwardConfig, Saturation};
 pub use reference::RefSolver;
 pub use sld::{
     canonical_answer_set, canonicalize, is_variant, EngineConfig, NoRemote, Proof, ProofStep,
-    RemoteFallback, RemoteHook, SharedTable, Solution, Solver, Stats, TableHandle,
+    RemoteFallback, RemoteHook, Solution, Solver, Stats,
 };
-pub use table::{AnswerTable, ConcurrentTable, Disposition, Probe, TableStats, TabledAnswer};
+pub use table::{AnswerTable, Disposition, Probe, TableStats, TabledAnswer};

@@ -30,108 +30,14 @@
 
 use crate::builtins::{eval_builtin_in, BuiltinOutcomeIn};
 use crate::compile::{CompiledFit, CompiledKb};
-use crate::table::{AnswerTable, ConcurrentTable, Disposition, Probe, TableStats, TabledAnswer};
+use crate::table::{AnswerTable, Disposition, Probe, TableStats, TabledAnswer};
 use peertrust_core::{
     unify_literals_in, Bindings, FxHashMap, KnowledgeBase, Literal, PeerId, ResolveCache, RuleId,
     Subst, Term, TrailStats, Var,
 };
 use peertrust_telemetry::{Field, Telemetry};
-use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// A shareable answer table: pass the same handle to successive solvers
-/// over the *same* knowledge base to keep memoized answers warm across
-/// [`Solver::solve`] calls.
-pub type SharedTable = Rc<RefCell<AnswerTable>>;
-
-/// The solver's tabling backend: either the single-threaded
-/// `Rc<RefCell<AnswerTable>>` (the default — zero synchronization) or an
-/// `Arc<ConcurrentTable>` shared between solver threads evaluating the
-/// same knowledge base.
-///
-/// Both variants expose the same probe/begin/complete protocol, so the
-/// solver's tabling step is written once against this handle. The `Local`
-/// arm compiles down to the exact `RefCell` borrow sequence the solver
-/// used before the handle existed; no atomics or locks appear on the
-/// single-threaded path.
-#[derive(Clone)]
-pub enum TableHandle {
-    /// Single-threaded table (what `config.tabling` creates lazily).
-    Local(SharedTable),
-    /// Sharded, lock-per-shard table for multi-threaded batch workloads.
-    Concurrent(Arc<ConcurrentTable>),
-}
-
-impl TableHandle {
-    /// Classify a goal variant: reusable, inline-only, or fresh. Counts
-    /// the hit / inline-fallback on the matching branch.
-    fn probe(&self, key: &Literal) -> Probe {
-        match self {
-            TableHandle::Local(t) => {
-                let mut t = t.borrow_mut();
-                if t.in_progress(key) || t.disposition(key) == Some(Disposition::Incomplete) {
-                    t.note_inline_fallback();
-                    return Probe::Inline;
-                }
-                match t.lookup(key) {
-                    Some(answers) => Probe::Reuse(answers.to_vec()),
-                    None => Probe::Fresh,
-                }
-            }
-            TableHandle::Concurrent(t) => t.probe(key),
-        }
-    }
-
-    fn begin(&self, key: Literal) {
-        match self {
-            TableHandle::Local(t) => t.borrow_mut().begin(key),
-            TableHandle::Concurrent(t) => t.begin(key),
-        }
-    }
-
-    fn complete(&self, key: Literal, disposition: Disposition, answers: Vec<TabledAnswer>) {
-        match self {
-            TableHandle::Local(t) => t.borrow_mut().complete(key, disposition, answers),
-            TableHandle::Concurrent(t) => t.complete(key, disposition, answers),
-        }
-    }
-
-    fn note_inline_fallback(&self) {
-        match self {
-            TableHandle::Local(t) => t.borrow_mut().note_inline_fallback(),
-            TableHandle::Concurrent(t) => t.note_inline_fallback(),
-        }
-    }
-
-    /// Counter snapshot (shared across all holders of this handle).
-    pub fn stats(&self) -> TableStats {
-        match self {
-            TableHandle::Local(t) => t.borrow().stats(),
-            TableHandle::Concurrent(t) => t.stats(),
-        }
-    }
-
-    /// Number of variants with a recorded entry.
-    pub fn len(&self) -> usize {
-        match self {
-            TableHandle::Local(t) => t.borrow().len(),
-            TableHandle::Concurrent(t) => t.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total answers stored across all entries.
-    pub fn answer_count(&self) -> usize {
-        match self {
-            TableHandle::Local(t) => t.borrow().answer_count(),
-            TableHandle::Concurrent(t) => t.answer_count(),
-        }
-    }
-}
 
 /// When to consult the remote hook for a goal routed to another peer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -167,13 +73,6 @@ pub struct EngineConfig {
     /// Cap on answers collected per tabled variant; a variant that hits
     /// the cap is recorded incomplete and resolved inline thereafter.
     pub table_max_answers: usize,
-    /// Resolve against a compiled (WAM-lite bytecode) view of the KB
-    /// (see `crate::compile`). If no compiled artifact was attached via
-    /// [`Solver::with_compiled`], the solver compiles the KB itself on
-    /// first solve. Off by default; answers are identical either way —
-    /// the compiled path only changes how clause heads are selected and
-    /// matched.
-    pub compiled: bool,
 }
 
 impl Default for EngineConfig {
@@ -186,7 +85,6 @@ impl Default for EngineConfig {
             remote_fallback: RemoteFallback::OnlyIfNoLocalClause,
             tabling: false,
             table_max_answers: 512,
-            compiled: false,
         }
     }
 }
@@ -408,9 +306,9 @@ pub struct Solver<'a> {
     rename_counter: u32,
     stats: Stats,
     telemetry: Telemetry,
-    table: Option<TableHandle>,
-    /// Compiled view of `kb` (attached or auto-compiled when
-    /// `config.compiled`). Consulted only after a fingerprint fit check.
+    table: Option<Arc<AnswerTable>>,
+    /// Compiled view of `kb`, attached via [`Solver::with_compiled`].
+    /// Consulted only after a fingerprint fit check.
     compiled: Option<Arc<CompiledKb>>,
     /// Cached fit verdict: how many leading KB rules the compiled
     /// artifact covers (0 = not consulted). Sound to cache because the
@@ -490,14 +388,16 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Attach a compiled view of the KB (see `crate::compile`) and turn
-    /// the compiled path on. The artifact is consulted only while its
-    /// fingerprint still matches a prefix of the KB; a stale artifact is
-    /// ignored (counted in `Stats::compiled_stale`), never wrong.
+    /// Attach a compiled view of the KB (see `crate::compile`): the
+    /// solver resolves against it from the next solve on. The artifact
+    /// is consulted only while its fingerprint still matches a prefix of
+    /// the KB; a stale artifact is ignored (counted in
+    /// `Stats::compiled_stale`), never wrong. Answers are identical
+    /// either way — the compiled path only changes how clauses are
+    /// selected, matched and instantiated.
     pub fn with_compiled(mut self, compiled: Arc<CompiledKb>) -> Solver<'a> {
         self.compiled = Some(compiled);
         self.compiled_cover = None;
-        self.config.compiled = true;
         self
     }
 
@@ -519,43 +419,19 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Attach a (possibly pre-warmed) answer table. Implies nothing about
-    /// `config.tabling` — the flag still controls whether the table is
-    /// consulted. Sharing a table between solvers is sound only while
-    /// they evaluate the *same, monotonically growing* knowledge base for
-    /// the same peer; call [`AnswerTable::clear`] on any non-monotone
-    /// change (rule retraction or body edit).
-    pub fn with_table(mut self, table: SharedTable) -> Solver<'a> {
-        self.table = Some(TableHandle::Local(table));
-        self
-    }
-
-    /// Attach a thread-safe answer table shared with other solvers (each
-    /// on its own thread) over the *same* knowledge base. Same soundness
-    /// discipline as [`Solver::with_table`]; see
-    /// [`ConcurrentTable`] for the concurrency argument.
-    pub fn with_concurrent_table(mut self, table: Arc<ConcurrentTable>) -> Solver<'a> {
-        self.table = Some(TableHandle::Concurrent(table));
+    /// Attach a (possibly pre-warmed) answer table, shared with other
+    /// solvers — successive ones, or ones on other threads — over the
+    /// *same* knowledge base. Implies nothing about `config.tabling`: the
+    /// flag still controls whether the table is consulted. See
+    /// [`AnswerTable`] for the sharing discipline and concurrency
+    /// argument.
+    pub fn with_table(mut self, table: Arc<AnswerTable>) -> Solver<'a> {
+        self.table = Some(table);
         self
     }
 
     pub fn stats(&self) -> Stats {
         self.stats
-    }
-
-    /// The single-threaded answer table, if tabling ever ran (or one was
-    /// attached via [`Solver::with_table`]). `None` when a concurrent
-    /// table is attached — use [`Solver::table_handle`] for either kind.
-    pub fn table(&self) -> Option<SharedTable> {
-        match &self.table {
-            Some(TableHandle::Local(t)) => Some(t.clone()),
-            _ => None,
-        }
-    }
-
-    /// The tabling backend, whichever kind is attached.
-    pub fn table_handle(&self) -> Option<TableHandle> {
-        self.table.clone()
     }
 
     /// Snapshot of the answer-table counters (zeroes when tabling is off).
@@ -567,14 +443,7 @@ impl<'a> Solver<'a> {
     /// `config.max_solutions` answers with proofs.
     pub fn solve(&mut self, goals: &[Literal]) -> Vec<Solution> {
         if self.config.tabling && self.table.is_none() {
-            self.table = Some(TableHandle::Local(Rc::new(
-                RefCell::new(AnswerTable::new()),
-            )));
-        }
-        if self.config.compiled && self.compiled.is_none() {
-            // No artifact attached: compile the KB once for this solver.
-            self.compiled = Some(Arc::new(CompiledKb::compile(self.kb)));
-            self.compiled_cover = None;
+            self.table = Some(Arc::new(AnswerTable::new()));
         }
         if self.compiled_cover.is_none() {
             self.compiled_cover = Some(match &self.compiled {
@@ -1295,7 +1164,7 @@ impl<'a> Solver<'a> {
         // Fresh variant: evaluate the canonical goal in an isolated
         // sub-derivation (same solver — shared hook, step budget and
         // rename counter; fresh agenda, ancestors and solution set).
-        // Under a concurrent table another thread may be doing the same —
+        // Under a shared table another thread may be doing the same —
         // both evaluate the same KB, so both record the same entry.
         table.begin(key.clone());
         let mut sub_vars: Vec<Var> = Vec::new();
@@ -1956,7 +1825,7 @@ mod tabling_tests {
     #[test]
     fn warm_table_answers_without_rule_tries() {
         let kb = kb("p(X) <- q(X). q(1). q(2). q(3).");
-        let table: SharedTable = Rc::new(RefCell::new(AnswerTable::new()));
+        let table = Arc::new(AnswerTable::new());
         let goals = parse_goals("p(X)").unwrap();
 
         let mut cold = Solver::new(&kb, PeerId::new("self"))
@@ -1965,6 +1834,16 @@ mod tabling_tests {
         let first = cold.solve(&goals);
         assert_eq!(first.len(), 3);
         let cold_steps = cold.stats().steps;
+        let cold_stats = TableStats {
+            hits: 0,
+            misses: 2,
+            inserts: 6,
+            incomplete: 0,
+            inline_fallbacks: 2,
+        };
+        assert_eq!(cold.table_stats(), cold_stats);
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.answer_count(), 6);
 
         let mut warm = Solver::new(&kb, PeerId::new("self"))
             .with_config(tabled_config())
@@ -1977,7 +1856,13 @@ mod tabling_tests {
             warm.stats().steps
         );
         assert_eq!(warm.stats().rule_tries, 0);
-        assert!(table.borrow().stats().hits >= 1);
+        assert_eq!(
+            table.stats(),
+            TableStats {
+                hits: 1,
+                ..cold_stats
+            }
+        );
     }
 
     #[test]
@@ -1994,6 +1879,16 @@ mod tabling_tests {
         let a = plain.solve(&goals);
         let b = tabled.solve(&goals);
         assert_eq!(answers(&a, "W"), answers(&b, "W"));
+        assert_eq!(
+            tabled.table_stats(),
+            TableStats {
+                hits: 5,
+                misses: 6,
+                inserts: 9,
+                incomplete: 0,
+                inline_fallbacks: 7,
+            }
+        );
     }
 
     #[test]
@@ -2033,13 +1928,24 @@ mod tabling_tests {
         let sols = solver.solve(&parse_goals("n(X)").unwrap());
         // Inline fallback recovers the full answer set.
         assert_eq!(sols.len(), 5);
-        let ts = solver.table_stats();
-        assert_eq!(ts.incomplete, 1);
-        assert!(ts.inline_fallbacks >= 1);
+        let first_stats = TableStats {
+            hits: 0,
+            misses: 1,
+            inserts: 2,
+            incomplete: 1,
+            inline_fallbacks: 2,
+        };
+        assert_eq!(solver.table_stats(), first_stats);
         // A second occurrence still resolves inline, never from the table.
         let sols2 = solver.solve(&parse_goals("n(Y)").unwrap());
         assert_eq!(sols2.len(), 5);
-        assert_eq!(solver.table_stats().hits, 0);
+        assert_eq!(
+            solver.table_stats(),
+            TableStats {
+                inline_fallbacks: 3,
+                ..first_stats
+            }
+        );
     }
 }
 

@@ -121,116 +121,7 @@ pub struct TableStats {
     pub inline_fallbacks: u64,
 }
 
-/// The per-solver (optionally shared) answer table.
-#[derive(Default)]
-pub struct AnswerTable {
-    entries: HashMap<Literal, Entry>,
-    in_progress: HashSet<Literal>,
-    stats: TableStats,
-}
-
-impl AnswerTable {
-    pub fn new() -> AnswerTable {
-        AnswerTable::default()
-    }
-
-    /// Number of variants with a recorded entry.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total answers stored across all complete entries.
-    pub fn answer_count(&self) -> usize {
-        self.entries.values().map(|e| e.answers.len()).sum()
-    }
-
-    pub fn stats(&self) -> TableStats {
-        self.stats
-    }
-
-    /// Is this variant currently being evaluated (cycle guard)?
-    pub fn in_progress(&self, canonical: &Literal) -> bool {
-        self.in_progress.contains(canonical)
-    }
-
-    /// Mark a variant as under evaluation.
-    pub fn begin(&mut self, canonical: Literal) {
-        self.stats.misses += 1;
-        self.in_progress.insert(canonical);
-    }
-
-    /// Record the outcome of a variant evaluation and release the
-    /// in-progress mark.
-    pub fn complete(
-        &mut self,
-        canonical: Literal,
-        disposition: Disposition,
-        answers: Vec<TabledAnswer>,
-    ) {
-        self.in_progress.remove(&canonical);
-        if disposition == Disposition::Incomplete {
-            self.stats.incomplete += 1;
-        }
-        self.stats.inserts += answers.len() as u64;
-        self.entries.insert(
-            canonical,
-            Entry {
-                disposition,
-                answers,
-            },
-        );
-    }
-
-    /// Abort a variant evaluation without recording anything (used when
-    /// the solver must unwind early, e.g. on a stop signal).
-    pub fn abort(&mut self, canonical: &Literal) {
-        self.in_progress.remove(canonical);
-    }
-
-    /// The disposition recorded for a variant, if any.
-    pub fn disposition(&self, canonical: &Literal) -> Option<Disposition> {
-        self.entries.get(canonical).map(|e| e.disposition)
-    }
-
-    /// Completed answers for a variant; `None` unless the entry exists
-    /// and is complete. Records a hit.
-    pub fn lookup(&mut self, canonical: &Literal) -> Option<&[TabledAnswer]> {
-        match self.entries.get(canonical) {
-            Some(e) if e.disposition == Disposition::Complete => {
-                self.stats.hits += 1;
-                Some(&e.answers)
-            }
-            _ => None,
-        }
-    }
-
-    /// Record one inline fallback (in-progress or incomplete variant).
-    pub fn note_inline_fallback(&mut self) {
-        self.stats.inline_fallbacks += 1;
-    }
-
-    /// Iterate over every recorded variant with its disposition and
-    /// answers, in no particular order. Read-only (records no hits);
-    /// used by the compiled-vs-interpreted differential tests to compare
-    /// whole table contents.
-    pub fn entries(&self) -> impl Iterator<Item = (&Literal, Disposition, &[TabledAnswer])> {
-        self.entries
-            .iter()
-            .map(|(k, e)| (k, e.disposition, e.answers.as_slice()))
-    }
-
-    /// Drop every entry (keeps the stats).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.in_progress.clear();
-    }
-}
-
-/// What a table found for a goal variant (see [`ConcurrentTable::probe`]).
+/// What a table found for a goal variant (see [`AnswerTable::probe`]).
 #[derive(Clone, Debug)]
 pub enum Probe {
     /// A completed entry: resolve the goal against these answers.
@@ -242,7 +133,7 @@ pub enum Probe {
     Fresh,
 }
 
-/// Shard count for [`ConcurrentTable`]. A small power of two: policy
+/// Shard count for [`AnswerTable`]. A small power of two: policy
 /// workloads table at most a few thousand variants, so 16 shards already
 /// make write collisions between solver threads unlikely.
 const SHARDS: usize = 16;
@@ -253,10 +144,10 @@ struct Shard {
     in_progress: HashSet<Literal>,
 }
 
-/// A thread-safe answer table: the same variant-keyed memoization as
-/// [`AnswerTable`], sharded by goal-variant hash with a `parking_lot`
-/// read-write lock per shard, shareable between solver threads behind an
-/// `Arc`.
+/// The answer table: variant-keyed memoization sharded by goal-variant
+/// hash with a `parking_lot` read-write lock per shard. One solver owns
+/// it by default; behind an `Arc` it is shared between successive solvers
+/// (a warm table) or between solver threads.
 ///
 /// Concurrency model (DESIGN.md §4d): lookups take only the shard's read
 /// lock; `begin`/`complete` take its write lock. Two threads may race to
@@ -267,17 +158,16 @@ struct Shard {
 /// content. The duplicated work is bounded by one variant evaluation per
 /// racing thread, and no blocking or cross-shard coordination is needed.
 ///
-/// Sharing discipline: like the single-threaded table, a shared
-/// concurrent table is sound only across solvers evaluating the **same**
-/// knowledge base (monotone growth is not enough here — a `Complete`
-/// entry recorded against a smaller KB may under-approximate the answer
-/// set of a grown one when read by a different lineage). Call
-/// [`ConcurrentTable::clear`] on any KB change.
+/// Sharing discipline: a shared table is sound only across solvers
+/// evaluating the **same** knowledge base (monotone growth is not enough
+/// — a `Complete` entry recorded against a smaller KB may
+/// under-approximate the answer set of a grown one when read by a
+/// different lineage). Call [`AnswerTable::clear`] on any KB change.
 ///
 /// Stats are process-wide atomics rather than per-shard fields so that
 /// reading them never takes a lock.
 #[derive(Default)]
-pub struct ConcurrentTable {
+pub struct AnswerTable {
     shards: [RwLock<Shard>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
@@ -286,9 +176,9 @@ pub struct ConcurrentTable {
     inline_fallbacks: AtomicU64,
 }
 
-impl ConcurrentTable {
-    pub fn new() -> ConcurrentTable {
-        ConcurrentTable::default()
+impl AnswerTable {
+    pub fn new() -> AnswerTable {
+        AnswerTable::default()
     }
 
     fn shard(&self, canonical: &Literal) -> &RwLock<Shard> {
@@ -297,10 +187,9 @@ impl ConcurrentTable {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    /// One read-locked classification of a variant: reusable, inline, or
-    /// fresh. Mirrors the single-threaded sequence `in_progress ||
-    /// incomplete → inline; lookup → reuse; else fresh`, with the
-    /// hit/fallback counters recorded on the matching branch.
+    /// One read-locked classification of a variant: in progress or
+    /// incomplete → inline; complete → reuse; else fresh. The hit and
+    /// fallback counters are recorded on the matching branch.
     pub fn probe(&self, canonical: &Literal) -> Probe {
         let shard = self.shard(canonical).read();
         if shard.in_progress.contains(canonical) {
@@ -350,12 +239,7 @@ impl ConcurrentTable {
         );
     }
 
-    /// Abort a variant evaluation without recording anything.
-    pub fn abort(&self, canonical: &Literal) {
-        self.shard(canonical).write().in_progress.remove(canonical);
-    }
-
-    /// Record one inline fallback counted outside [`ConcurrentTable::probe`].
+    /// Record one inline fallback counted outside [`AnswerTable::probe`].
     pub fn note_inline_fallback(&self) {
         self.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
@@ -393,6 +277,22 @@ impl ConcurrentTable {
         }
     }
 
+    /// Snapshot of every recorded variant with its disposition and
+    /// answers, in no particular order. Read-only (records no hits);
+    /// used by the differential tests to compare whole table contents.
+    pub fn entries(&self) -> Vec<(Literal, Disposition, Vec<TabledAnswer>)> {
+        self.shards
+            .iter()
+            .flat_map(|s| {
+                s.read()
+                    .entries
+                    .iter()
+                    .map(|(k, e)| (k.clone(), e.disposition, e.answers.clone()))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
     /// Drop every entry (keeps the stats).
     pub fn clear(&self) {
         for s in &self.shards {
@@ -407,7 +307,7 @@ impl ConcurrentTable {
 // a `Literal`/`Proof` is interned symbols and owned vectors.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ConcurrentTable>()
+    assert_send_sync::<AnswerTable>()
 };
 
 #[cfg(test)]
@@ -432,57 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn complete_entries_are_reusable() {
-        let mut t = AnswerTable::new();
-        let key = lit("p", 0);
-        assert!(t.lookup(&key).is_none());
-        t.begin(key.clone());
-        assert!(t.in_progress(&key));
-        t.complete(key.clone(), Disposition::Complete, vec![ans("p", 1)]);
-        assert!(!t.in_progress(&key));
-        assert_eq!(t.lookup(&key).unwrap().len(), 1);
-        assert_eq!(t.stats().hits, 1);
-        assert_eq!(t.stats().misses, 1);
-        assert_eq!(t.stats().inserts, 1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.answer_count(), 1);
-    }
-
-    #[test]
-    fn incomplete_entries_never_reused() {
-        let mut t = AnswerTable::new();
-        let key = lit("q", 0);
-        t.begin(key.clone());
-        t.complete(key.clone(), Disposition::Incomplete, vec![ans("q", 1)]);
-        assert!(t.lookup(&key).is_none());
-        assert_eq!(t.disposition(&key), Some(Disposition::Incomplete));
-        assert_eq!(t.stats().incomplete, 1);
-    }
-
-    #[test]
-    fn abort_releases_in_progress_without_entry() {
-        let mut t = AnswerTable::new();
-        let key = lit("r", 0);
-        t.begin(key.clone());
-        t.abort(&key);
-        assert!(!t.in_progress(&key));
-        assert!(t.disposition(&key).is_none());
-    }
-
-    #[test]
-    fn clear_keeps_stats() {
-        let mut t = AnswerTable::new();
-        t.begin(lit("p", 0));
-        t.complete(lit("p", 0), Disposition::Complete, vec![ans("p", 1)]);
-        let _ = t.lookup(&lit("p", 0));
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.stats().hits, 1);
-    }
-
-    #[test]
     fn concurrent_table_mirrors_single_threaded_protocol() {
-        let t = ConcurrentTable::new();
+        let t = AnswerTable::new();
         let key = lit("p", 0);
         assert!(matches!(t.probe(&key), Probe::Fresh));
         t.begin(key.clone());
@@ -504,7 +355,7 @@ mod tests {
 
     #[test]
     fn concurrent_incomplete_entries_never_reused() {
-        let t = ConcurrentTable::new();
+        let t = AnswerTable::new();
         let key = lit("q", 0);
         t.begin(key.clone());
         t.complete(key.clone(), Disposition::Incomplete, vec![ans("q", 1)]);
@@ -513,17 +364,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_abort_releases_in_progress() {
-        let t = ConcurrentTable::new();
-        let key = lit("r", 0);
-        t.begin(key.clone());
-        t.abort(&key);
-        assert!(matches!(t.probe(&key), Probe::Fresh));
-    }
-
-    #[test]
     fn concurrent_clear_keeps_stats() {
-        let t = ConcurrentTable::new();
+        let t = AnswerTable::new();
         t.begin(lit("p", 0));
         t.complete(lit("p", 0), Disposition::Complete, vec![ans("p", 1)]);
         let _ = t.probe(&lit("p", 0));
@@ -537,7 +379,7 @@ mod tests {
         // Two "threads" racing on the same fresh variant: both begin,
         // both complete with the same answers (same KB). The second
         // complete overwrites the first with identical content.
-        let t = ConcurrentTable::new();
+        let t = AnswerTable::new();
         let key = lit("p", 0);
         t.begin(key.clone());
         t.begin(key.clone());

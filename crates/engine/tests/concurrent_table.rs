@@ -1,4 +1,4 @@
-//! Multi-thread stress test for the shared [`ConcurrentTable`]: 8 threads
+//! Multi-thread stress test for one shared [`AnswerTable`]: 8 threads
 //! hammer one table on overlapping goal variants and every thread's
 //! answer sets must equal a single-threaded reference run.
 //!
@@ -10,7 +10,7 @@
 //! marks).
 
 use peertrust_core::prelude::*;
-use peertrust_engine::{canonicalize, ConcurrentTable, EngineConfig, Solver};
+use peertrust_engine::{canonicalize, AnswerTable, EngineConfig, Solver};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -95,7 +95,7 @@ fn eight_threads_sharing_one_table_agree_with_single_threaded_run() {
         })
         .collect();
 
-    let table = Arc::new(ConcurrentTable::new());
+    let table = Arc::new(AnswerTable::new());
     let results: Vec<Vec<Vec<BTreeSet<String>>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
@@ -113,7 +113,7 @@ fn eight_threads_sharing_one_table_agree_with_single_threaded_run() {
                             let idx = (k + t * 3 + round) % goal_list.len();
                             let mut solver = Solver::new(kb, PeerId::new("self"))
                                 .with_config(config())
-                                .with_concurrent_table(Arc::clone(&table));
+                                .with_table(Arc::clone(&table));
                             sets[idx] = answer_set(&goal_list[idx], &mut solver);
                         }
                         per_round.push(sets);
@@ -148,7 +148,7 @@ fn eight_threads_sharing_one_table_agree_with_single_threaded_run() {
 fn concurrent_table_stats_add_up_under_contention() {
     let kb = reachability_kb(6);
     let goal = Literal::new("path", vec![Term::var("A"), Term::var("B")]);
-    let table = Arc::new(ConcurrentTable::new());
+    let table = Arc::new(AnswerTable::new());
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
             let kb = &kb;
@@ -157,7 +157,7 @@ fn concurrent_table_stats_add_up_under_contention() {
             scope.spawn(move || {
                 let mut solver = Solver::new(kb, PeerId::new("self"))
                     .with_config(config())
-                    .with_concurrent_table(table);
+                    .with_table(table);
                 let _ = solver.solve(std::slice::from_ref(goal));
             });
         }

@@ -15,13 +15,10 @@
 
 use peertrust_core::prelude::*;
 use peertrust_engine::{
-    canonicalize, AnswerTable, CompiledKb, CompiledSolver, EngineConfig, Proof, RefSolver,
-    Solution, Solver,
+    canonicalize, AnswerTable, CompiledKb, EngineConfig, Proof, RefSolver, Solution, Solver,
 };
 use proptest::prelude::*;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Same random safe-program generator as `prop_differential.rs`: EDB
@@ -158,10 +155,11 @@ fn render(goal: &Literal, sol: &Solution) -> (String, Vec<String>) {
 fn table_snapshot(table: &AnswerTable) -> BTreeMap<String, BTreeSet<String>> {
     table
         .entries()
+        .into_iter()
         .filter(|(_, d, _)| *d == peertrust_engine::Disposition::Complete)
         .map(|(k, _, answers)| {
             (
-                canonicalize(k).to_string(),
+                canonicalize(&k).to_string(),
                 answers
                     .iter()
                     .map(|a| canonicalize(&a.answer).to_string())
@@ -186,14 +184,16 @@ proptest! {
         for pred in ["p0", "p1", "e0"] {
             let goal = Literal::new(pred, vec![Term::var("A"), Term::var("B")]);
 
-            let mut cs = CompiledSolver::new(&kb, PeerId::new("self"), compiled.clone())
-                .with_config(config());
+            let mut cs = Solver::new(&kb, PeerId::new("self"))
+                .with_config(config())
+                .with_compiled(compiled.clone());
             let got = cs.solve(std::slice::from_ref(&goal));
             prop_assume!(!cs.stats().step_budget_exhausted);
             prop_assert_eq!(cs.stats().compiled_stale, 0, "artifact wrongly stale");
 
-            let mut hs = CompiledSolver::new(&kb, PeerId::new("self"), heads_only.clone())
-                .with_config(config());
+            let mut hs = Solver::new(&kb, PeerId::new("self"))
+                .with_config(config())
+                .with_compiled(heads_only.clone());
             let want_h = hs.solve(std::slice::from_ref(&goal));
             prop_assert_eq!(hs.stats().compiled_body_instrs, 0, "heads-only ran body bytecode");
 
@@ -232,7 +232,7 @@ proptest! {
         let goal = Literal::new("p0", vec![Term::var("A"), Term::var("B")]);
         let tabled = EngineConfig { tabling: true, ..config() };
 
-        let ct = Rc::new(RefCell::new(AnswerTable::new()));
+        let ct = Arc::new(AnswerTable::new());
         let mut cs = Solver::new(&kb, PeerId::new("self"))
             .with_config(tabled)
             .with_table(ct.clone())
@@ -240,14 +240,14 @@ proptest! {
         let got = cs.solve(std::slice::from_ref(&goal));
         prop_assume!(!cs.stats().step_budget_exhausted);
 
-        let ht = Rc::new(RefCell::new(AnswerTable::new()));
+        let ht = Arc::new(AnswerTable::new());
         let mut hs = Solver::new(&kb, PeerId::new("self"))
             .with_config(tabled)
             .with_table(ht.clone())
             .with_compiled(heads_only);
         let want_h = hs.solve(std::slice::from_ref(&goal));
 
-        let it = Rc::new(RefCell::new(AnswerTable::new()));
+        let it = Arc::new(AnswerTable::new());
         let mut is = Solver::new(&kb, PeerId::new("self"))
             .with_config(tabled)
             .with_table(it.clone());
@@ -259,9 +259,9 @@ proptest! {
         prop_assert_eq!(&got_r, &hdso_r, "tabled solutions diverge from heads-only");
         prop_assert_eq!(&got_r, &want_r, "tabled solutions diverge");
 
-        let got_t = table_snapshot(&ct.borrow());
-        let hdso_t = table_snapshot(&ht.borrow());
-        let want_t = table_snapshot(&it.borrow());
+        let got_t = table_snapshot(&ct);
+        let hdso_t = table_snapshot(&ht);
+        let want_t = table_snapshot(&it);
         prop_assert_eq!(&got_t, &hdso_t, "table contents diverge from heads-only");
         prop_assert_eq!(&got_t, &want_t, "table contents diverge");
     }
@@ -318,14 +318,16 @@ proptest! {
                 goal = goal.at(Term::str(a));
             }
 
-            let mut cs = CompiledSolver::new(&kb, PeerId::new("self"), compiled.clone())
-                .with_config(config());
+            let mut cs = Solver::new(&kb, PeerId::new("self"))
+                .with_config(config())
+                .with_compiled(compiled.clone());
             let got = cs.solve(std::slice::from_ref(&goal));
             prop_assume!(!cs.stats().step_budget_exhausted);
             prop_assert_eq!(cs.stats().compiled_stale, 0, "artifact wrongly stale");
 
-            let mut hs = CompiledSolver::new(&kb, PeerId::new("self"), heads_only.clone())
-                .with_config(config());
+            let mut hs = Solver::new(&kb, PeerId::new("self"))
+                .with_config(config())
+                .with_compiled(heads_only.clone());
             let want_h = hs.solve(std::slice::from_ref(&goal));
 
             let mut interp = Solver::new(&kb, PeerId::new("self")).with_config(config());

@@ -6,12 +6,11 @@
 
 use peertrust_core::prelude::*;
 use peertrust_engine::{
-    canonicalize, AnswerTable, EngineConfig, Proof, RefSolver, Solution, Solver,
+    canonicalize, AnswerTable, Disposition, EngineConfig, Proof, RefSolver, Solution, Solver,
 };
 use proptest::prelude::*;
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A random safe program over a small universe, mirroring the generator in
 /// `prop_agreement.rs` but with an optional builtin guard in rule bodies so
@@ -128,7 +127,7 @@ proptest! {
     fn table_contents_match_reference_answers(prog in arb_program()) {
         let kb: KnowledgeBase = prog.rules.iter().cloned().collect();
         let goal = Literal::new("p0", vec![Term::var("A"), Term::var("B")]);
-        let table = Rc::new(RefCell::new(AnswerTable::new()));
+        let table = Arc::new(AnswerTable::new());
         let mut production = Solver::new(&kb, PeerId::new("self"))
             .with_config(EngineConfig { tabling: true, ..config() })
             .with_table(table.clone());
@@ -137,9 +136,10 @@ proptest! {
 
         let key = canonicalize(&goal);
         let stored: Option<BTreeSet<String>> = table
-            .borrow_mut()
-            .lookup(&key)
-            .map(|answers| answers.iter().map(|a| canonicalize(&a.answer).to_string()).collect());
+            .entries()
+            .into_iter()
+            .find(|(k, d, _)| *k == key && *d == Disposition::Complete)
+            .map(|(_, _, answers)| answers.iter().map(|a| canonicalize(&a.answer).to_string()).collect());
         // Entry may be absent (inline fallback after an incomplete run).
         let Some(stored) = stored else { return Ok(()); };
 

@@ -4,7 +4,7 @@
 //! on canonicalized instance sets, not multisets.
 
 use peertrust_core::prelude::*;
-use peertrust_engine::{canonicalize, ConcurrentTable, EngineConfig, Solver};
+use peertrust_engine::{canonicalize, AnswerTable, EngineConfig, Solver};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -69,11 +69,11 @@ fn answer_set(kb: &KnowledgeBase, goal: &Literal, tabling: bool) -> (BTreeSet<St
     (set, solver.stats().step_budget_exhausted)
 }
 
-/// All answers for `goal` through a shared concurrent table.
-fn concurrent_answer_set(
+/// All answers for `goal` through a shared (warm) answer table.
+fn shared_answer_set(
     kb: &KnowledgeBase,
     goal: &Literal,
-    table: &Arc<ConcurrentTable>,
+    table: &Arc<AnswerTable>,
 ) -> (BTreeSet<String>, bool) {
     let mut solver = Solver::new(kb, PeerId::new("self"))
         .with_config(EngineConfig {
@@ -82,7 +82,7 @@ fn concurrent_answer_set(
             tabling: true,
             ..EngineConfig::default()
         })
-        .with_concurrent_table(Arc::clone(table));
+        .with_table(Arc::clone(table));
     let sols = solver.solve(std::slice::from_ref(goal));
     let set = sols
         .iter()
@@ -114,17 +114,17 @@ proptest! {
         }
     }
 
-    /// The concurrent table preserves answer sets too — including when
+    /// A shared table preserves answer sets too — including when
     /// one warm table is reused across every query of the program (the
     /// sharing pattern of the batch scheduler's solver threads).
     #[test]
     fn concurrent_tabling_preserves_answer_sets(prog in arb_program()) {
         let kb: KnowledgeBase = prog.rules.iter().cloned().collect();
-        let table = Arc::new(ConcurrentTable::new());
+        let table = Arc::new(AnswerTable::new());
         for pred in ["p0", "p1", "e0", "e1", "e2"] {
             let goal = Literal::new(pred, vec![Term::var("A"), Term::var("B")]);
             let (plain, plain_exhausted) = answer_set(&kb, &goal, false);
-            let (shared, shared_exhausted) = concurrent_answer_set(&kb, &goal, &table);
+            let (shared, shared_exhausted) = shared_answer_set(&kb, &goal, &table);
             prop_assume!(!plain_exhausted && !shared_exhausted);
             prop_assert_eq!(
                 &plain, &shared,

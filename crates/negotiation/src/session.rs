@@ -260,16 +260,21 @@ pub(crate) fn negotiate_with_cache(
     let queries0 = net.stats().queries;
     let tick0 = net.now();
 
-    let span = telemetry.span_start(
-        tick0,
-        nid.0,
-        "negotiation",
-        vec![
-            Field::str("requester", requester.to_string()),
-            Field::str("responder", responder.to_string()),
-            Field::str("goal", goal.to_string()),
-        ],
-    );
+    // Untraced runs skip building the span fields entirely.
+    let span = if telemetry.enabled() {
+        telemetry.span_start(
+            tick0,
+            nid.0,
+            "negotiation",
+            vec![
+                Field::str("requester", requester.to_string()),
+                Field::str("responder", responder.to_string()),
+                Field::str("goal", goal.to_string()),
+            ],
+        )
+    } else {
+        SpanId::NONE
+    };
 
     let mut session = Session {
         peers,

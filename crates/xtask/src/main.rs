@@ -28,10 +28,8 @@
 //! smoke scenarios in both the interpreted and compiled lanes, writes
 //! `target/BENCH_PR8.json`, and fails on any of: a compiled cold
 //! scenario slower than its same-run interpreted counterpart (the PR 8
-//! parity gate), interpreted e8 deep-chain >25% over
-//! `BENCH_BASELINE_PR5.json`, any cold scenario >25% over
-//! `BENCH_BASELINE_PR8.json`/`BENCH_BASELINE_PR9.json`/
-//! `BENCH_BASELINE_PR10.json`, or any deterministic work counter
+//! parity gate), any cold scenario >25% over `BENCH_BASELINE.json`
+//! (e17/e18 at 3x), or any deterministic work counter
 //! (resolution steps, heap cells, body instructions, serving admission
 //! decisions) differing from its baseline at all.
 
@@ -116,13 +114,7 @@ const STEPS: &[Step] = &[
             "--out",
             "target/BENCH_PR8.json",
             "--baseline",
-            "BENCH_BASELINE_PR5.json",
-            "--baseline-pr8",
-            "BENCH_BASELINE_PR8.json",
-            "--baseline-pr9",
-            "BENCH_BASELINE_PR9.json",
-            "--baseline-pr10",
-            "BENCH_BASELINE_PR10.json",
+            "BENCH_BASELINE.json",
         ],
         &[],
     ),
@@ -320,13 +312,7 @@ const COMPILED_STEPS: &[Step] = &[
             "--out",
             "target/BENCH_PR8.json",
             "--baseline",
-            "BENCH_BASELINE_PR5.json",
-            "--baseline-pr8",
-            "BENCH_BASELINE_PR8.json",
-            "--baseline-pr9",
-            "BENCH_BASELINE_PR9.json",
-            "--baseline-pr10",
-            "BENCH_BASELINE_PR10.json",
+            "BENCH_BASELINE.json",
         ],
         &[],
     ),
@@ -396,7 +382,7 @@ const GEM_STEPS: &[Step] = &[
 /// worker counts, clone-free session startup, shared-cache warm-up),
 /// the quantile-sketch merge-algebra proptests that the cross-worker
 /// metric merge relies on, and the quickbench run whose `e18_serving`
-/// scenario is gated at 3x against `BENCH_BASELINE_PR10.json` with
+/// scenario is gated at 3x against `BENCH_BASELINE.json` with
 /// exact admission-decision counters. Mirrors the CI `serving` job.
 const SERVE_STEPS: &[Step] = &[
     step(
@@ -436,8 +422,8 @@ const SERVE_STEPS: &[Step] = &[
             "--quick",
             "--out",
             "target/BENCH_PR10.json",
-            "--baseline-pr10",
-            "BENCH_BASELINE_PR10.json",
+            "--baseline",
+            "BENCH_BASELINE.json",
         ],
         &[],
     ),
@@ -445,9 +431,8 @@ const SERVE_STEPS: &[Step] = &[
 
 /// Run the quickbench harness: e8 deep-chain + e13 tabling scenarios in
 /// both lanes, `target/BENCH_PR8.json` artifact, and hard failures on
-/// the same-run compiled parity gate, the PR5 interpreted regression
-/// gate, the PR8 per-scenario regression gate, and the exact
-/// work-counter check.
+/// the same-run compiled parity gate, the per-scenario regression gates
+/// against `BENCH_BASELINE.json`, and the exact work-counter check.
 fn bench(quick: bool) {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let mut cargo_args: Vec<&str> = vec![
@@ -461,13 +446,7 @@ fn bench(quick: bool) {
         "--out",
         "target/BENCH_PR8.json",
         "--baseline",
-        "BENCH_BASELINE_PR5.json",
-        "--baseline-pr8",
-        "BENCH_BASELINE_PR8.json",
-        "--baseline-pr9",
-        "BENCH_BASELINE_PR9.json",
-        "--baseline-pr10",
-        "BENCH_BASELINE_PR10.json",
+        "BENCH_BASELINE.json",
     ];
     if quick {
         cargo_args.push("--quick");
