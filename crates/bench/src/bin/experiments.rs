@@ -11,8 +11,9 @@
 //! Pass `--json` to also dump machine-readable rows. Every run also
 //! re-executes the two paper scenarios under an instrumented telemetry
 //! pipeline and writes the metrics registry to `target/metrics.json`
-//! alongside a per-negotiation `target/timeline.jsonl` (override the
-//! directory with `--out-dir <dir>`).
+//! alongside the raw event stream grouped by negotiation in
+//! `target/timeline.jsonl` and the causal traces in `target/trace.json`
+//! (override the directory with `--out-dir <dir>`).
 
 use peertrust_bench::{run_negotiation, run_workload, with_big_stack, Row};
 use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, Sym, Term};
@@ -63,10 +64,10 @@ fn main() {
 }
 
 /// Re-run the instrumented paper scenarios and export the metrics registry
-/// (`metrics.json`) plus the chronological event stream (`timeline.jsonl`)
-/// into `out_dir`.
+/// (`metrics.json`), the event stream grouped by negotiation
+/// (`timeline.jsonl`) and the causal traces (`trace.json`) into `out_dir`.
 fn telemetry_export(out_dir: &std::path::Path) {
-    use peertrust_telemetry::{Telemetry, Timeline, Trace};
+    use peertrust_telemetry::{Telemetry, Trace};
 
     println!("\n== Telemetry export (instrumented E1/E2) ==");
     // Large enough that nothing is evicted: trace reconstruction needs
@@ -317,19 +318,23 @@ fn telemetry_export(out_dir: &std::path::Path) {
     let metrics_path = out_dir.join("metrics.json");
     std::fs::write(&metrics_path, &metrics).expect("write metrics.json");
 
-    let events = ring.events();
-    let timelines = Timeline::from_events(&events);
-    let dump: String = timelines.iter().map(Timeline::to_jsonl).collect();
+    // Grouped by negotiation, each group in sequence order (the sort is
+    // stable and the ring is already in sequence order).
+    let mut events = ring.events();
+    events.sort_by_key(|e| e.negotiation);
+    let dump: String = events
+        .iter()
+        .map(|e| serde_json::to_string(e).expect("events serialize") + "\n")
+        .collect();
     let timeline_path = out_dir.join("timeline.jsonl");
     std::fs::write(&timeline_path, &dump).expect("write timeline.jsonl");
 
-    for tl in &timelines {
-        println!(
-            "  negotiation {}: {} spans, {} events",
-            tl.negotiation,
-            tl.spans.len(),
-            tl.events.len()
-        );
+    let mut per_negotiation: std::collections::BTreeMap<u64, usize> = Default::default();
+    for e in &events {
+        *per_negotiation.entry(e.negotiation).or_default() += 1;
+    }
+    for (nid, count) in per_negotiation {
+        println!("  negotiation {nid}: {count} events");
     }
 
     // Cross-peer causal traces: reconstruct the span DAG from the

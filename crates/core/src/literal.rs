@@ -111,15 +111,7 @@ impl Literal {
 
     /// All distinct variables, in first-occurrence order.
     pub fn vars(&self) -> Vec<Var> {
-        let mut all = Vec::new();
-        self.collect_vars(&mut all);
-        let mut seen = Vec::new();
-        for v in all {
-            if !seen.contains(&v) {
-                seen.push(v);
-            }
-        }
-        seen
+        distinct_vars(std::slice::from_ref(self))
     }
 
     /// Rewrite every variable with `f` (standardize-apart support).
@@ -136,6 +128,25 @@ impl Literal {
         1 + self.args.iter().map(Term::size).sum::<usize>()
             + self.authority.iter().map(Term::size).sum::<usize>()
     }
+}
+
+/// The distinct variables of the conjunction `goals`, in first-occurrence
+/// order: the variables an answer substitution binds, each exactly once.
+pub fn distinct_vars(goals: &[Literal]) -> Vec<Var> {
+    let mut vars = Vec::new();
+    for g in goals {
+        g.collect_vars(&mut vars);
+    }
+    // Compact in place: keep each variable's first occurrence.
+    let mut kept = 0;
+    for i in 0..vars.len() {
+        if !vars[..kept].contains(&vars[i]) {
+            vars[kept] = vars[i];
+            kept += 1;
+        }
+    }
+    vars.truncate(kept);
+    vars
 }
 
 impl fmt::Display for Literal {

@@ -22,6 +22,7 @@
 
 use crate::builtins::{eval_builtin, BuiltinOutcome};
 use crate::sld::{is_variant, EngineConfig, Proof, ProofStep, Solution};
+use peertrust_core::literal::distinct_vars;
 use peertrust_core::{unify_literals, KnowledgeBase, Literal, PeerId, Subst, Term, Var};
 use std::sync::Arc;
 
@@ -71,11 +72,7 @@ impl<'a> RefSolver<'a> {
     /// Prove the conjunction `goals`, returning up to
     /// `config.max_solutions` answers with proofs.
     pub fn solve(&mut self, goals: &[Literal]) -> Vec<Solution> {
-        let mut query_vars: Vec<Var> = Vec::new();
-        for g in goals {
-            g.collect_vars(&mut query_vars);
-        }
-        query_vars.dedup();
+        let query_vars = distinct_vars(goals);
         let agenda: Vec<GoalItem> = goals.iter().map(|g| GoalItem::Lit(g.clone(), 0)).collect();
         let mut out = Vec::new();
         let mut anc: Vec<Literal> = Vec::new();

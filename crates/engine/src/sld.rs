@@ -31,11 +31,12 @@
 use crate::builtins::{eval_builtin_in, BuiltinOutcomeIn};
 use crate::compile::{CompiledFit, CompiledKb};
 use crate::table::{AnswerTable, Disposition, Probe, TableStats, TabledAnswer};
+use peertrust_core::literal::distinct_vars;
 use peertrust_core::{
     unify_literals_in, Bindings, FxHashMap, KnowledgeBase, Literal, PeerId, ResolveCache, RuleId,
     Subst, Term, TrailStats, Var,
 };
-use peertrust_telemetry::{Field, Telemetry};
+use peertrust_telemetry::Telemetry;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -280,6 +281,56 @@ pub struct Stats {
 }
 
 impl Stats {
+    /// Fold a sub-solver's stats into these: counters are summed and
+    /// high-water marks take the max. `step_budget_exhausted` is not
+    /// folded: the sub-solve ran under a budget of its own.
+    fn absorb(&mut self, sub: &Stats) {
+        // Destructured so a new field cannot be silently left out.
+        let Stats {
+            steps,
+            remote_calls,
+            depth_cutoffs,
+            loop_prunes,
+            rule_tries,
+            unify_attempts,
+            builtin_evals,
+            trail_binds,
+            trail_rollbacks,
+            trail_undone,
+            trail_peak,
+            slot_peak,
+            compiled_dispatches,
+            compiled_head_matches,
+            compiled_head_fails,
+            compiled_stale,
+            compiled_body_instrs,
+            heap_cells,
+            heap_bytes,
+            heap_resets,
+            step_budget_exhausted: _,
+        } = *sub;
+        self.steps += steps;
+        self.remote_calls += remote_calls;
+        self.depth_cutoffs += depth_cutoffs;
+        self.loop_prunes += loop_prunes;
+        self.rule_tries += rule_tries;
+        self.unify_attempts += unify_attempts;
+        self.builtin_evals += builtin_evals;
+        self.trail_binds += trail_binds;
+        self.trail_rollbacks += trail_rollbacks;
+        self.trail_undone += trail_undone;
+        self.trail_peak = self.trail_peak.max(trail_peak);
+        self.slot_peak = self.slot_peak.max(slot_peak);
+        self.compiled_dispatches += compiled_dispatches;
+        self.compiled_head_matches += compiled_head_matches;
+        self.compiled_head_fails += compiled_head_fails;
+        self.compiled_stale += compiled_stale;
+        self.compiled_body_instrs += compiled_body_instrs;
+        self.heap_cells += heap_cells;
+        self.heap_bytes += heap_bytes;
+        self.heap_resets += heap_resets;
+    }
+
     /// Fold one binding store's counters into the evaluation stats.
     fn absorb_trail(&mut self, t: TrailStats) {
         self.trail_binds += t.slot_binds + t.named_binds;
@@ -411,9 +462,9 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Attach a telemetry pipeline: each [`Solver::solve`] call becomes an
-    /// `engine.solve` span, and the evaluation [`Stats`] are flushed into
-    /// the metrics registry when it returns.
+    /// Attach a telemetry pipeline: the evaluation [`Stats`] of each
+    /// [`Solver::solve`] call are flushed into the metrics registry when
+    /// it returns.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Solver<'a> {
         self.telemetry = telemetry;
         self
@@ -457,30 +508,10 @@ impl<'a> Solver<'a> {
                 None => 0,
             });
         }
-        let mut query_vars: Vec<Var> = Vec::new();
-        for g in goals {
-            g.collect_vars(&mut query_vars);
-        }
-        query_vars.dedup();
+        let query_vars = distinct_vars(goals);
 
         let table_before = self.table_stats();
-        let (span, before) = if self.telemetry.enabled() {
-            let goal_text = goals
-                .iter()
-                .map(|g| g.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            let span = self.telemetry.span_start(
-                0,
-                0,
-                "engine.solve",
-                vec![Field::str("goal", goal_text)],
-            );
-            (span, self.stats)
-        } else {
-            (peertrust_telemetry::SpanId::NONE, Stats::default())
-        };
-
+        let before = self.stats;
         let mut agenda: Agenda = None;
         for g in goals.iter().rev() {
             agenda = cons(GoalItem::Lit(g.clone(), 0), agenda);
@@ -501,8 +532,6 @@ impl<'a> Solver<'a> {
         if self.telemetry.enabled() {
             self.flush_stats_delta(&before, &out);
             self.flush_table_delta(&table_before);
-            self.telemetry
-                .span_end(0, span, 0, vec![Field::u64("solutions", out.len() as u64)]);
         }
         out
     }
@@ -748,14 +777,7 @@ impl<'a> Solver<'a> {
                 // over, sparing the sub-solve a re-fingerprint.
                 sub.compiled_cover = self.compiled_cover;
                 let proved = sub.provable(std::slice::from_ref(&inner));
-                self.stats.steps += sub.stats.steps;
-                self.stats.rule_tries += sub.stats.rule_tries;
-                self.stats.unify_attempts += sub.stats.unify_attempts;
-                self.stats.builtin_evals += sub.stats.builtin_evals;
-                self.stats.compiled_body_instrs += sub.stats.compiled_body_instrs;
-                self.stats.heap_cells += sub.stats.heap_cells;
-                self.stats.heap_bytes += sub.stats.heap_bytes;
-                self.stats.heap_resets += sub.stats.heap_resets;
+                self.stats.absorb(&sub.stats);
                 !proved
             };
             if !refuted {
@@ -1167,9 +1189,7 @@ impl<'a> Solver<'a> {
         // Under a shared table another thread may be doing the same —
         // both evaluate the same KB, so both record the same entry.
         table.begin(key.clone());
-        let mut sub_vars: Vec<Var> = Vec::new();
-        key.collect_vars(&mut sub_vars);
-        sub_vars.dedup();
+        let sub_vars = distinct_vars(std::slice::from_ref(&key));
         let cutoffs_before = self.stats.depth_cutoffs;
         let saved_max = self.config.max_solutions;
         self.config.max_solutions = self.config.table_max_answers;
@@ -2010,6 +2030,28 @@ mod naf_tests {
         let sols2 = solve_all("p <- not(q). q <- not(r). r.", "p");
         // r holds => q fails => not(q) holds => p holds.
         assert_eq!(sols2.len(), 1);
+    }
+
+    /// A NAF sub-solve's work is folded back into the parent's stats,
+    /// depth cutoffs included: here `banned(bob)` sits at the end of a
+    /// 200-step chain, past the default `max_depth`, so the negated
+    /// search is truncated and the parent must say so.
+    #[test]
+    fn naf_sub_solve_stats_are_folded_back() {
+        let mut src = String::from(
+            "eligible(X) <- person(X), not(banned(X)). person(bob). \
+             banned(X) <- revoked0(X). revoked200(bob).",
+        );
+        for i in 0..200 {
+            src.push_str(&format!(" revoked{i}(X) <- revoked{}(X).", i + 1));
+        }
+        let kb: KnowledgeBase = parse_program(&src).unwrap().into_iter().collect();
+        let mut solver = Solver::new(&kb, PeerId::new("self"));
+        let _ = solver.solve(&parse_goals("eligible(bob)").unwrap());
+        assert!(
+            solver.stats().depth_cutoffs > 0,
+            "truncated NAF search not reported"
+        );
     }
 
     #[test]

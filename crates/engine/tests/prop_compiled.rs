@@ -131,9 +131,10 @@ fn config() -> EngineConfig {
     }
 }
 
-/// Render one solution as (answer instance, proof sketch) with variables
-/// canonicalized per literal — identical evaluations must render equal.
-fn render(goal: &Literal, sol: &Solution) -> (String, Vec<String>) {
+/// Render one solution as (answer instances, proof sketch) with
+/// variables canonicalized per literal — identical evaluations must
+/// render equal.
+fn render(goals: &[Literal], sol: &Solution) -> (Vec<String>, Vec<String>) {
     fn sketch(p: &Proof, out: &mut Vec<String>) {
         out.push(format!("{:?} {}", p.step, canonicalize(&p.goal)));
         for c in &p.children {
@@ -144,10 +145,41 @@ fn render(goal: &Literal, sol: &Solution) -> (String, Vec<String>) {
     for p in &sol.proofs {
         sketch(p, &mut proofs);
     }
-    (
-        canonicalize(&sol.subst.apply_literal(goal)).to_string(),
-        proofs,
-    )
+    let instances = goals
+        .iter()
+        .map(|g| canonicalize(&sol.subst.apply_literal(g)).to_string())
+        .collect();
+    (instances, proofs)
+}
+
+/// The program's KB plus a ternary rule, so probe queries can repeat a
+/// variable at non-adjacent positions of one literal.
+fn probe_kb(prog: &Program) -> KnowledgeBase {
+    let (x, y, z) = (Term::var("X"), Term::var("Y"), Term::var("Z"));
+    let t = Rule::horn(
+        Literal::new("t", vec![x.clone(), y.clone(), z.clone()]),
+        vec![
+            Literal::new("p0", vec![x, y.clone()]),
+            Literal::new("e0", vec![y, z]),
+        ],
+    );
+    prog.rules.iter().cloned().chain([t]).collect()
+}
+
+/// Query conjunctions every lane must agree on: each IDB/EDB predicate
+/// with distinct variables, plus a variable repeated at non-adjacent
+/// positions inside one literal (`t(A, B, A)`) and across a conjunction
+/// (`p0(A, B), e1(A, C)`) — each answer must bind `A` exactly once.
+fn probe_goals() -> Vec<Vec<Literal>> {
+    let (a, b, c) = (Term::var("A"), Term::var("B"), Term::var("C"));
+    let pair = |p: &str| Literal::new(p, vec![a.clone(), b.clone()]);
+    vec![
+        vec![pair("p0")],
+        vec![pair("p1")],
+        vec![pair("e0")],
+        vec![Literal::new("t", vec![a.clone(), b.clone(), a.clone()])],
+        vec![pair("p0"), Literal::new("e1", vec![a.clone(), c])],
+    ]
 }
 
 /// Canonical snapshot of a whole answer table: variant key -> sorted
@@ -176,47 +208,45 @@ proptest! {
     /// evaluation agree — same instances, same order, same proof sketches.
     #[test]
     fn compiled_matches_interpreter_and_reference(prog in arb_program()) {
-        let kb: KnowledgeBase = prog.rules.iter().cloned().collect();
+        let kb = probe_kb(&prog);
         let compiled = Arc::new(CompiledKb::compile(&kb));
         let heads_only = Arc::new(CompiledKb::compile_heads_only(&kb));
         prop_assert!(compiled.has_bodies());
         prop_assert!(!heads_only.has_bodies());
-        for pred in ["p0", "p1", "e0"] {
-            let goal = Literal::new(pred, vec![Term::var("A"), Term::var("B")]);
-
+        for goals in probe_goals() {
             let mut cs = Solver::new(&kb, PeerId::new("self"))
                 .with_config(config())
                 .with_compiled(compiled.clone());
-            let got = cs.solve(std::slice::from_ref(&goal));
+            let got = cs.solve(&goals);
             prop_assume!(!cs.stats().step_budget_exhausted);
             prop_assert_eq!(cs.stats().compiled_stale, 0, "artifact wrongly stale");
 
             let mut hs = Solver::new(&kb, PeerId::new("self"))
                 .with_config(config())
                 .with_compiled(heads_only.clone());
-            let want_h = hs.solve(std::slice::from_ref(&goal));
+            let want_h = hs.solve(&goals);
             prop_assert_eq!(hs.stats().compiled_body_instrs, 0, "heads-only ran body bytecode");
 
             let mut interp = Solver::new(&kb, PeerId::new("self")).with_config(config());
-            let want_i = interp.solve(std::slice::from_ref(&goal));
+            let want_i = interp.solve(&goals);
             let mut reference = RefSolver::new(&kb, PeerId::new("self")).with_config(config());
-            let want_r = reference.solve(std::slice::from_ref(&goal));
+            let want_r = reference.solve(&goals);
 
-            let got_c: Vec<_> = got.iter().map(|s| render(&goal, s)).collect();
-            let want_hr: Vec<_> = want_h.iter().map(|s| render(&goal, s)).collect();
-            let want_ir: Vec<_> = want_i.iter().map(|s| render(&goal, s)).collect();
-            let want_rr: Vec<_> = want_r.iter().map(|s| render(&goal, s)).collect();
+            let got_c: Vec<_> = got.iter().map(|s| render(&goals, s)).collect();
+            let want_hr: Vec<_> = want_h.iter().map(|s| render(&goals, s)).collect();
+            let want_ir: Vec<_> = want_i.iter().map(|s| render(&goals, s)).collect();
+            let want_rr: Vec<_> = want_r.iter().map(|s| render(&goals, s)).collect();
             prop_assert_eq!(
                 &got_c, &want_hr,
-                "body-compiled diverges from heads-only on {}", pred
+                "body-compiled diverges from heads-only on {:?}", goals
             );
             prop_assert_eq!(
                 &got_c, &want_ir,
-                "compiled diverges from interpreter on {}", pred
+                "compiled diverges from interpreter on {:?}", goals
             );
             prop_assert_eq!(
                 &got_c, &want_rr,
-                "compiled diverges from reference on {}", pred
+                "compiled diverges from reference on {:?}", goals
             );
         }
     }
@@ -226,44 +256,44 @@ proptest! {
     /// answer sets — and both solvers return identical solutions.
     #[test]
     fn compiled_tabling_matches_interpreted_tabling(prog in arb_program()) {
-        let kb: KnowledgeBase = prog.rules.iter().cloned().collect();
+        let kb = probe_kb(&prog);
         let compiled = Arc::new(CompiledKb::compile(&kb));
         let heads_only = Arc::new(CompiledKb::compile_heads_only(&kb));
-        let goal = Literal::new("p0", vec![Term::var("A"), Term::var("B")]);
         let tabled = EngineConfig { tabling: true, ..config() };
+        for goals in probe_goals() {
+            let ct = Arc::new(AnswerTable::new());
+            let mut cs = Solver::new(&kb, PeerId::new("self"))
+                .with_config(tabled)
+                .with_table(ct.clone())
+                .with_compiled(compiled.clone());
+            let got = cs.solve(&goals);
+            prop_assume!(!cs.stats().step_budget_exhausted);
 
-        let ct = Arc::new(AnswerTable::new());
-        let mut cs = Solver::new(&kb, PeerId::new("self"))
-            .with_config(tabled)
-            .with_table(ct.clone())
-            .with_compiled(compiled);
-        let got = cs.solve(std::slice::from_ref(&goal));
-        prop_assume!(!cs.stats().step_budget_exhausted);
+            let ht = Arc::new(AnswerTable::new());
+            let mut hs = Solver::new(&kb, PeerId::new("self"))
+                .with_config(tabled)
+                .with_table(ht.clone())
+                .with_compiled(heads_only.clone());
+            let want_h = hs.solve(&goals);
 
-        let ht = Arc::new(AnswerTable::new());
-        let mut hs = Solver::new(&kb, PeerId::new("self"))
-            .with_config(tabled)
-            .with_table(ht.clone())
-            .with_compiled(heads_only);
-        let want_h = hs.solve(std::slice::from_ref(&goal));
+            let it = Arc::new(AnswerTable::new());
+            let mut is = Solver::new(&kb, PeerId::new("self"))
+                .with_config(tabled)
+                .with_table(it.clone());
+            let want = is.solve(&goals);
 
-        let it = Arc::new(AnswerTable::new());
-        let mut is = Solver::new(&kb, PeerId::new("self"))
-            .with_config(tabled)
-            .with_table(it.clone());
-        let want = is.solve(std::slice::from_ref(&goal));
+            let got_r: Vec<_> = got.iter().map(|s| render(&goals, s)).collect();
+            let hdso_r: Vec<_> = want_h.iter().map(|s| render(&goals, s)).collect();
+            let want_r: Vec<_> = want.iter().map(|s| render(&goals, s)).collect();
+            prop_assert_eq!(&got_r, &hdso_r, "tabled solutions diverge from heads-only on {:?}", goals);
+            prop_assert_eq!(&got_r, &want_r, "tabled solutions diverge on {:?}", goals);
 
-        let got_r: Vec<_> = got.iter().map(|s| render(&goal, s)).collect();
-        let hdso_r: Vec<_> = want_h.iter().map(|s| render(&goal, s)).collect();
-        let want_r: Vec<_> = want.iter().map(|s| render(&goal, s)).collect();
-        prop_assert_eq!(&got_r, &hdso_r, "tabled solutions diverge from heads-only");
-        prop_assert_eq!(&got_r, &want_r, "tabled solutions diverge");
-
-        let got_t = table_snapshot(&ct);
-        let hdso_t = table_snapshot(&ht);
-        let want_t = table_snapshot(&it);
-        prop_assert_eq!(&got_t, &hdso_t, "table contents diverge from heads-only");
-        prop_assert_eq!(&got_t, &want_t, "table contents diverge");
+            let got_t = table_snapshot(&ct);
+            let hdso_t = table_snapshot(&ht);
+            let want_t = table_snapshot(&it);
+            prop_assert_eq!(&got_t, &hdso_t, "table contents diverge from heads-only on {:?}", goals);
+            prop_assert_eq!(&got_t, &want_t, "table contents diverge on {:?}", goals);
+        }
     }
 
     /// Appending rules after compilation (the negotiation pattern:
@@ -295,9 +325,9 @@ proptest! {
             let mut interp = Solver::new(&kb, PeerId::new("self")).with_config(config());
             let want = interp.solve(std::slice::from_ref(&goal));
 
-            let got_r: Vec<_> = got.iter().map(|s| render(&goal, s)).collect();
-            let hdso_r: Vec<_> = want_h.iter().map(|s| render(&goal, s)).collect();
-            let want_r: Vec<_> = want.iter().map(|s| render(&goal, s)).collect();
+            let got_r: Vec<_> = got.iter().map(|s| render(std::slice::from_ref(&goal), s)).collect();
+            let hdso_r: Vec<_> = want_h.iter().map(|s| render(std::slice::from_ref(&goal), s)).collect();
+            let want_r: Vec<_> = want.iter().map(|s| render(std::slice::from_ref(&goal), s)).collect();
             prop_assert_eq!(&got_r, &hdso_r, "prefix-fit diverges from heads-only on {}", pred);
             prop_assert_eq!(&got_r, &want_r, "prefix-fit diverges on {}", pred);
         }
@@ -335,10 +365,10 @@ proptest! {
             let mut reference = RefSolver::new(&kb, PeerId::new("self")).with_config(config());
             let want_r = reference.solve(std::slice::from_ref(&goal));
 
-            let got_c: Vec<_> = got.iter().map(|s| render(&goal, s)).collect();
-            let want_hr: Vec<_> = want_h.iter().map(|s| render(&goal, s)).collect();
-            let want_ir: Vec<_> = want_i.iter().map(|s| render(&goal, s)).collect();
-            let want_rr: Vec<_> = want_r.iter().map(|s| render(&goal, s)).collect();
+            let got_c: Vec<_> = got.iter().map(|s| render(std::slice::from_ref(&goal), s)).collect();
+            let want_hr: Vec<_> = want_h.iter().map(|s| render(std::slice::from_ref(&goal), s)).collect();
+            let want_ir: Vec<_> = want_i.iter().map(|s| render(std::slice::from_ref(&goal), s)).collect();
+            let want_rr: Vec<_> = want_r.iter().map(|s| render(std::slice::from_ref(&goal), s)).collect();
             prop_assert_eq!(
                 &got_c, &want_hr,
                 "auth dispatch diverges from heads-only on {}@{:?}", pred, auth

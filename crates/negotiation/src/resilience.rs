@@ -34,7 +34,7 @@
 //! `RefusalReason::Unreachable` refusals.
 //!
 //! With [`peertrust_net::FaultPlan::none`] the resilient driver is bit-identical to the
-//! plain one — outcomes, metrics, and timeline events — because no
+//! plain one — outcomes, metrics, and telemetry events — because no
 //! retry, suppression, or resume code path is reachable and all
 //! `negotiation.resilience.*` telemetry is emitted only on occurrence
 //! (property-tested in `tests/prop_resilience.rs`).

@@ -43,7 +43,7 @@ use peertrust_core::{Literal, PeerId};
 use peertrust_net::faults::FaultPlan;
 use peertrust_net::message::NegotiationId;
 use peertrust_net::sim::SimNetwork;
-use peertrust_telemetry::{MetricsSnapshot, Recorder, SpanId, Telemetry, TraceEvent};
+use peertrust_telemetry::{MetricsSnapshot, Recorder, Telemetry, TraceEvent};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -118,7 +118,7 @@ pub(crate) fn merge_workers(telemetry: &Telemetry, per_worker: Vec<WorkerYield>)
         let mut events: Vec<TraceEvent> = per_worker.into_iter().flat_map(|(_, ev)| ev).collect();
         events.sort_by_key(|e| (e.negotiation, e.seq));
         for e in events {
-            telemetry.event(e.at, SpanId(e.span), e.negotiation, &e.kind, e.fields);
+            telemetry.event(e.at, e.negotiation, &e.kind, e.fields);
         }
     }
 }

@@ -36,7 +36,7 @@ use peertrust_engine::{canonicalize, Proof, ProofStep, RemoteHook, Solver};
 use peertrust_net::{
     MessageFate, MessageId, NegotiationId, Payload, QueryId, SimNetwork, TraceContext,
 };
-use peertrust_telemetry::{Field, SpanId, Telemetry};
+use peertrust_telemetry::{Field, Telemetry, Tick};
 use std::collections::HashMap;
 
 /// The collection of peers participating in negotiations.
@@ -183,9 +183,10 @@ pub fn negotiate(
 }
 
 /// [`negotiate`] with a telemetry pipeline: the negotiation becomes a
-/// `negotiation` span, every query/disclosure/refusal an event linked to
-/// it by negotiation id, and per-peer counters accumulate in the metrics
-/// registry. With `Telemetry::disabled()` this is exactly [`negotiate`].
+/// causal trace rooted in one `negotiation` span, every
+/// query/disclosure/refusal an event linked to it by negotiation id, and
+/// per-peer counters accumulate in the metrics registry. With
+/// `Telemetry::disabled()` this is exactly [`negotiate`].
 #[allow(clippy::too_many_arguments)]
 pub fn negotiate_traced(
     peers: &mut PeerMap,
@@ -260,22 +261,6 @@ pub(crate) fn negotiate_with_cache(
     let queries0 = net.stats().queries;
     let tick0 = net.now();
 
-    // Untraced runs skip building the span fields entirely.
-    let span = if telemetry.enabled() {
-        telemetry.span_start(
-            tick0,
-            nid.0,
-            "negotiation",
-            vec![
-                Field::str("requester", requester.to_string()),
-                Field::str("responder", responder.to_string()),
-                Field::str("goal", goal.to_string()),
-            ],
-        )
-    } else {
-        SpanId::NONE
-    };
-
     let mut session = Session {
         peers,
         net,
@@ -294,7 +279,6 @@ pub(crate) fn negotiate_with_cache(
         answer_cache,
         resilience,
         telemetry: telemetry.clone(),
-        span,
         trace_next: 1,
         trace_stack: Vec::new(),
         net_wait_ticks: 0,
@@ -355,16 +339,6 @@ pub(crate) fn negotiate_with_cache(
         telemetry.observe("negotiation.phase.net_wait_ticks", net_wait_ticks);
         telemetry.observe("negotiation.phase.backoff_ticks", backoff_ticks);
         telemetry.observe("negotiation.phase.solve_ticks", solve);
-        telemetry.span_end(
-            net.now(),
-            span,
-            nid.0,
-            vec![
-                Field::bool("success", outcome.success),
-                Field::u64("disclosures", outcome.disclosures.len() as u64),
-                Field::u64("refusals", outcome.refusals.len() as u64),
-            ],
-        );
     }
     (outcome, resilience.map(ResilienceState::into_report))
 }
@@ -384,6 +358,46 @@ pub(crate) fn record_outcome(telemetry: &Telemetry, outcome: &NegotiationOutcome
     telemetry.observe("negotiation.rounds", outcome.rounds);
     telemetry.observe("negotiation.wall_ticks", outcome.elapsed_ticks);
     telemetry.observe("negotiation.messages", outcome.messages);
+}
+
+/// Emit the `trace.start` event opening causal span `span` (under
+/// `parent`; 0 for the root) of negotiation `nid`'s trace — the one
+/// encoding [`peertrust_telemetry::Trace::from_events`] decodes. Both
+/// strategy drivers open their spans through it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn trace_start(
+    telemetry: &Telemetry,
+    at: Tick,
+    nid: NegotiationId,
+    span: u64,
+    parent: u64,
+    name: &str,
+    peer: PeerId,
+    kind: &str,
+) {
+    telemetry.event(
+        at,
+        nid.0,
+        "trace.start",
+        vec![
+            Field::u64("trace", nid.0),
+            Field::u64("span", span),
+            Field::u64("parent", parent),
+            Field::str("name", name),
+            Field::str("peer", peer.to_string()),
+            Field::str("kind", kind),
+        ],
+    );
+}
+
+/// Emit the `trace.end` event closing a span opened by [`trace_start`].
+pub(crate) fn trace_end(telemetry: &Telemetry, at: Tick, nid: NegotiationId, span: u64) {
+    telemetry.event(
+        at,
+        nid.0,
+        "trace.end",
+        vec![Field::u64("trace", nid.0), Field::u64("span", span)],
+    );
 }
 
 /// The outcome of a release check.
@@ -429,8 +443,6 @@ pub(crate) struct Session<'a> {
     /// the historical synchronous behavior.
     resilience: Option<ResilienceState>,
     telemetry: Telemetry,
-    /// The enclosing `negotiation` span (NONE when telemetry is off).
-    span: SpanId,
     /// Next causal span id, local to this negotiation (the trace id is
     /// the negotiation id, so ids are deterministic across runs and
     /// worker counts). The root span is always 1.
@@ -463,7 +475,7 @@ impl RemoteHook for SessionHook<'_, '_> {
 
 impl<'a> Session<'a> {
     /// Append to the disclosure sequence, mirroring the entry into the
-    /// telemetry pipeline (counter per item kind + a timeline event).
+    /// telemetry pipeline (counter per item kind + an event).
     fn record_disclosure(&mut self, d: Disclosure) {
         if self.telemetry.enabled() {
             let kind = match &d.item {
@@ -477,7 +489,6 @@ impl<'a> Session<'a> {
                 .incr(&format!("negotiation.disclosures.{kind}"), 1);
             self.telemetry.event(
                 self.net.now(),
-                self.span,
                 self.nid.0,
                 "negotiation.disclosure",
                 vec![
@@ -492,7 +503,7 @@ impl<'a> Session<'a> {
     }
 
     /// Append to the refusal list, mirroring the entry into the telemetry
-    /// pipeline (counter per [`RefusalReason`] + a timeline event).
+    /// pipeline (counter per [`RefusalReason`] + an event).
     fn record_refusal(&mut self, r: Refusal) {
         if self.telemetry.enabled() {
             self.telemetry.incr("negotiation.refusals", 1);
@@ -507,7 +518,6 @@ impl<'a> Session<'a> {
             );
             self.telemetry.event(
                 self.net.now(),
-                self.span,
                 self.nid.0,
                 "negotiation.refusal",
                 vec![
@@ -545,19 +555,15 @@ impl<'a> Session<'a> {
         }
         let id = self.trace_alloc();
         let parent = self.trace_parent();
-        self.telemetry.event(
+        trace_start(
+            &self.telemetry,
             self.net.now(),
-            SpanId::NONE,
-            self.nid.0,
-            "trace.start",
-            vec![
-                Field::u64("trace", self.nid.0),
-                Field::u64("span", id),
-                Field::u64("parent", parent),
-                Field::str("name", name),
-                Field::str("peer", peer.to_string()),
-                Field::str("kind", kind),
-            ],
+            self.nid,
+            id,
+            parent,
+            name,
+            peer,
+            kind,
         );
         self.trace_stack.push(id);
         id
@@ -568,13 +574,7 @@ impl<'a> Session<'a> {
         if !self.telemetry.enabled() {
             return;
         }
-        self.telemetry.event(
-            self.net.now(),
-            SpanId::NONE,
-            self.nid.0,
-            "trace.end",
-            vec![Field::u64("trace", self.nid.0), Field::u64("span", id)],
-        );
+        trace_end(&self.telemetry, self.net.now(), self.nid, id);
         self.trace_stack.pop();
     }
 
@@ -681,7 +681,6 @@ impl<'a> Session<'a> {
             if self.telemetry.enabled() {
                 self.telemetry.event(
                     now,
-                    self.span,
                     self.nid.0,
                     "negotiation.crash_resume",
                     vec![Field::str("peer", peer.to_string())],
@@ -788,7 +787,6 @@ impl<'a> Session<'a> {
             if self.telemetry.enabled() {
                 self.telemetry.event(
                     now,
-                    self.span,
                     self.nid.0,
                     "negotiation.retry",
                     vec![
@@ -839,7 +837,6 @@ impl<'a> Session<'a> {
         if self.telemetry.enabled() {
             self.telemetry.event(
                 self.net.now(),
-                self.span,
                 self.nid.0,
                 "negotiation.gave_up",
                 vec![
@@ -965,7 +962,6 @@ impl<'a> Session<'a> {
                 .incr(&format!("negotiation.queries_received.{to}"), 1);
             self.telemetry.event(
                 self.net.now(),
-                self.span,
                 self.nid.0,
                 "negotiation.query",
                 vec![

@@ -10,10 +10,12 @@
 
 use crate::eager::{negotiate_eager, EagerConfig};
 use crate::outcome::NegotiationOutcome;
-use crate::session::{negotiate_traced, record_outcome, PeerMap, SessionConfig};
+use crate::session::{
+    negotiate_traced, record_outcome, trace_end, trace_start, PeerMap, SessionConfig,
+};
 use peertrust_core::{Literal, PeerId};
 use peertrust_net::{NegotiationId, SimNetwork};
-use peertrust_telemetry::{Field, SpanId, Telemetry};
+use peertrust_telemetry::Telemetry;
 
 /// Which negotiation strategy drives the disclosure process.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -39,9 +41,9 @@ impl Strategy {
     /// Run a negotiation with this strategy under default driver
     /// settings, reporting into `telemetry` (`Telemetry::disabled()` for
     /// an untraced run). The parsimonious driver traces every
-    /// query/disclosure/refusal; the eager driver is wrapped in a
-    /// `negotiation` span with outcome-level metrics (its round loop has
-    /// no per-item decision points to instrument).
+    /// query/disclosure/refusal; the eager driver records a root-only
+    /// trace with outcome-level metrics. Either way the negotiation
+    /// rebuilds to exactly one root span.
     #[allow(clippy::too_many_arguments)]
     pub fn run_traced(
         self,
@@ -65,22 +67,20 @@ impl Strategy {
                 telemetry,
             ),
             Strategy::Eager => {
-                // Untraced runs skip building the span fields entirely.
-                let span = if telemetry.enabled() {
-                    telemetry.span_start(
+                // The eager round loop has no per-item decision points to
+                // instrument: its trace is the root span alone.
+                if telemetry.enabled() {
+                    trace_start(
+                        telemetry,
                         net.now(),
-                        nid.0,
+                        nid,
+                        1,
+                        0,
                         "negotiation",
-                        vec![
-                            Field::str("strategy", "eager"),
-                            Field::str("requester", requester.to_string()),
-                            Field::str("responder", responder.to_string()),
-                            Field::str("goal", goal.to_string()),
-                        ],
-                    )
-                } else {
-                    SpanId::NONE
-                };
+                        requester,
+                        "root",
+                    );
+                }
                 let outcome = negotiate_eager(
                     peers,
                     net,
@@ -92,15 +92,7 @@ impl Strategy {
                 );
                 if telemetry.enabled() {
                     record_outcome(telemetry, &outcome);
-                    telemetry.span_end(
-                        net.now(),
-                        span,
-                        nid.0,
-                        vec![
-                            Field::bool("success", outcome.success),
-                            Field::u64("disclosures", outcome.disclosures.len() as u64),
-                        ],
-                    );
+                    trace_end(telemetry, net.now(), nid, 1);
                 }
                 outcome
             }

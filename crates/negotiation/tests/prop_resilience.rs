@@ -4,7 +4,7 @@
 //!    wrapped in a [`FaultPlan::none`] lane, with or without the
 //!    resilience layer attached, is *bit-identical* to the plain
 //!    `SimNetwork` path: serialized outcome, metrics registry JSON, and
-//!    timeline JSONL all match byte for byte. The fault subsystem is
+//!    event-stream JSONL all match byte for byte. The fault subsystem is
 //!    provably free when unused.
 //! 2. **Convergence** — under random loss up to the 20% drop-rate bar
 //!    (plus duplicates, delays, reorders, corruption), a session with a
@@ -26,7 +26,7 @@ use peertrust_negotiation::{
 };
 use peertrust_net::{FaultPlan, LatencyModel, LinkFaults, NegotiationId, SimNetwork, Topology};
 use peertrust_parser::parse_literal;
-use peertrust_telemetry::{Telemetry, Timeline};
+use peertrust_telemetry::Telemetry;
 use proptest::prelude::*;
 
 /// The bilateral paper scenario: E-Learn guards `resource` behind a UIUC
@@ -109,9 +109,10 @@ fn observe(seed: u64, lane: Option<FaultPlan>, resilient: bool) -> (String, Stri
         .metrics()
         .expect("ring telemetry has metrics")
         .to_json();
-    let jsonl: String = Timeline::from_events(&ring.events())
+    let jsonl: String = ring
+        .events()
         .iter()
-        .map(Timeline::to_jsonl)
+        .map(|e| serde_json::to_string(e).unwrap() + "\n")
         .collect();
     (
         serde_json::to_string(&outcome).unwrap(),

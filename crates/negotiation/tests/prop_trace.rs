@@ -193,8 +193,9 @@ proptest! {
     }
 }
 
-/// A batch's merged trace stream — and therefore its Chrome export — is
-/// byte-identical across worker counts, fault-free and faulty.
+/// A batch's merged event stream — and therefore the traces and Chrome
+/// export rebuilt from it — is byte-identical across worker counts,
+/// fault-free and faulty.
 #[test]
 fn batch_traces_are_identical_across_worker_counts() {
     let peers = bilateral_peers();
@@ -202,7 +203,8 @@ fn batch_traces_are_identical_across_worker_counts() {
     let jobs: Vec<BatchJob> = (0..8)
         .map(|_| BatchJob::new(PeerId::new("Alice"), PeerId::new("E-Learn"), goal.clone()))
         .collect();
-    let chrome = |workers: usize, faults: Option<BatchFaults>| -> String {
+    // (merged event stream as JSONL, Chrome export)
+    let observe = |workers: usize, faults: Option<BatchFaults>| -> (String, String) {
         let (tele, ring) = Telemetry::ring(1 << 20);
         let cfg = BatchConfig {
             workers,
@@ -211,7 +213,12 @@ fn batch_traces_are_identical_across_worker_counts() {
         };
         let report = negotiate_batch(&peers, &jobs, &cfg, &tele);
         assert_eq!(report.outcomes.len(), jobs.len());
-        to_chrome_json(&Trace::from_events(&ring.events()))
+        let events = ring.events();
+        let jsonl = events
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap() + "\n")
+            .collect();
+        (jsonl, to_chrome_json(&Trace::from_events(&events)))
     };
     let faulty = || {
         Some(BatchFaults {
@@ -223,18 +230,26 @@ fn batch_traces_are_identical_across_worker_counts() {
             },
         })
     };
-    let clean_baseline = chrome(1, None);
-    let faulty_baseline = chrome(1, faulty());
-    assert_ne!(clean_baseline, faulty_baseline);
+    let clean_baseline = observe(1, None);
+    let faulty_baseline = observe(1, faulty());
+    assert_ne!(clean_baseline.1, faulty_baseline.1);
     for workers in [2, 4, 8] {
-        assert_eq!(
-            chrome(workers, None),
-            clean_baseline,
-            "clean divergence at {workers} workers"
+        let (clean_events, clean_chrome) = observe(workers, None);
+        assert!(
+            clean_events == clean_baseline.0,
+            "clean event stream diverges at {workers} workers"
         );
         assert_eq!(
-            chrome(workers, faulty()),
-            faulty_baseline,
+            clean_chrome, clean_baseline.1,
+            "clean divergence at {workers} workers"
+        );
+        let (faulty_events, faulty_chrome) = observe(workers, faulty());
+        assert!(
+            faulty_events == faulty_baseline.0,
+            "faulty event stream diverges at {workers} workers"
+        );
+        assert_eq!(
+            faulty_chrome, faulty_baseline.1,
             "faulty divergence at {workers} workers"
         );
     }

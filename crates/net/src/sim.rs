@@ -344,13 +344,7 @@ impl SimNetwork {
                             Field::str("to", to.to_string()),
                         ];
                         push_trace_fields(&mut fields, trace);
-                        telemetry.event(
-                            now,
-                            peertrust_telemetry::SpanId::NONE,
-                            negotiation.0,
-                            "net.fault",
-                            fields,
-                        );
+                        telemetry.event(now, negotiation.0, "net.fault", fields);
                     }
                 };
                 if verdict.delayed {
@@ -385,13 +379,8 @@ impl SimNetwork {
                             Field::u64("at", deliver_at),
                         ];
                         push_trace_fields(&mut fields, trace);
-                        self.telemetry.event(
-                            self.now,
-                            peertrust_telemetry::SpanId::NONE,
-                            negotiation.0,
-                            "net.fault",
-                            fields,
-                        );
+                        self.telemetry
+                            .event(self.now, negotiation.0, "net.fault", fields);
                     }
                 }
             }
@@ -421,13 +410,8 @@ impl SimNetwork {
                 Field::u64("hops", u64::from(hops)),
             ];
             push_trace_fields(&mut fields, trace);
-            self.telemetry.event(
-                self.now,
-                peertrust_telemetry::SpanId::NONE,
-                negotiation.0,
-                "net.send",
-                fields,
-            );
+            self.telemetry
+                .event(self.now, negotiation.0, "net.send", fields);
         }
 
         if dropped.is_some() {
@@ -477,13 +461,8 @@ impl SimNetwork {
                     Field::str("kind", msg.payload.kind()),
                 ];
                 push_trace_fields(&mut fields, msg.trace);
-                self.telemetry.event(
-                    self.now,
-                    peertrust_telemetry::SpanId::NONE,
-                    msg.negotiation.0,
-                    "net.deliver",
-                    fields,
-                );
+                self.telemetry
+                    .event(self.now, msg.negotiation.0, "net.deliver", fields);
             }
             self.inboxes.entry(msg.to).or_default().push_back(msg);
         }

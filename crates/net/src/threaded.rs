@@ -12,7 +12,7 @@ use crate::faults::{FaultLane, FaultPlan, FaultStats};
 use crate::message::Message;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use peertrust_core::PeerId;
-use peertrust_telemetry::{Field, SpanId, Telemetry};
+use peertrust_telemetry::{Field, Telemetry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,13 +39,8 @@ impl Endpoint {
                 Field::str("kind", msg.payload.kind()),
             ];
             crate::sim::push_trace_fields(&mut fields, msg.trace);
-            self.telemetry.event(
-                0,
-                SpanId::NONE,
-                msg.negotiation.0,
-                "net.thread.send",
-                fields,
-            );
+            self.telemetry
+                .event(0, msg.negotiation.0, "net.thread.send", fields);
         }
         self.to_router
             .send(msg)
@@ -64,13 +59,8 @@ impl Endpoint {
                         Field::str("kind", m.payload.kind()),
                     ];
                     crate::sim::push_trace_fields(&mut fields, m.trace);
-                    self.telemetry.event(
-                        0,
-                        SpanId::NONE,
-                        m.negotiation.0,
-                        "net.thread.recv",
-                        fields,
-                    );
+                    self.telemetry
+                        .event(0, m.negotiation.0, "net.thread.recv", fields);
                 }
                 Some(m)
             }
@@ -204,7 +194,6 @@ pub fn channel_network_faulty(
                     if router_telemetry.enabled() {
                         router_telemetry.event(
                             clock,
-                            SpanId::NONE,
                             msg.negotiation.0,
                             "net.undeliverable",
                             vec![
@@ -230,13 +219,7 @@ pub fn channel_network_faulty(
                                 Field::str("to", msg.to.to_string()),
                             ];
                             crate::sim::push_trace_fields(&mut fields, msg.trace);
-                            router_telemetry.event(
-                                clock,
-                                SpanId::NONE,
-                                msg.negotiation.0,
-                                "net.fault",
-                                fields,
-                            );
+                            router_telemetry.event(clock, msg.negotiation.0, "net.fault", fields);
                         }
                         continue;
                     }

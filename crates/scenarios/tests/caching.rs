@@ -11,15 +11,13 @@ use peertrust_negotiation::{
 };
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::{delegation_chain, Scenario1};
-use peertrust_telemetry::{Telemetry, Timeline};
+use peertrust_telemetry::{Telemetry, TraceEvent};
 
-fn net_sends(events: &[peertrust_telemetry::TraceEvent]) -> usize {
-    let timelines = Timeline::from_events(events);
-    timelines
+fn net_sends(events: &[TraceEvent]) -> usize {
+    events
         .iter()
-        .find(|tl| tl.negotiation == 1)
-        .map(|tl| tl.events_of_kind("net.send").len())
-        .unwrap_or(0)
+        .filter(|e| e.negotiation == 1 && e.kind == "net.send")
+        .count()
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! 1. **Differential baseline** — on acyclic workloads the GEM flag is
 //!    provably free: a run with `gem: true` is *bit-identical* to the
 //!    classical path on every observable surface (serialized outcome,
-//!    metrics registry JSON, timeline JSONL, final network clock). The
+//!    metrics registry JSON, event-stream JSONL, final network clock). The
 //!    GEM branch only fires when a query variant is already in flight,
 //!    which never happens without a cross-peer loop.
 //! 2. **Initiator independence** — on cyclic delegation meshes the GEM
@@ -20,7 +20,7 @@ use peertrust_negotiation::{
 };
 use peertrust_net::{FaultPlan, LatencyModel, LinkFaults, NegotiationId, SimNetwork, Topology};
 use peertrust_scenarios::{chain, delegation_mesh, random_policies, RandomPolicyConfig};
-use peertrust_telemetry::{Telemetry, Timeline};
+use peertrust_telemetry::Telemetry;
 use proptest::prelude::*;
 
 fn gem_config(gem: bool) -> SessionConfig {
@@ -65,9 +65,10 @@ fn observe_acyclic(
         .metrics()
         .expect("ring telemetry has metrics")
         .to_json();
-    let jsonl: String = Timeline::from_events(&ring.events())
+    let jsonl: String = ring
+        .events()
         .iter()
-        .map(Timeline::to_jsonl)
+        .map(|e| serde_json::to_string(e).unwrap() + "\n")
         .collect();
     (
         serde_json::to_string(&outcome).unwrap(),

@@ -4,11 +4,27 @@
 //! registry is exact and stable run-to-run: these tests pin the expected
 //! query/disclosure/round counts for scenario 1 (Alice & E-Learn, §4.1)
 //! and scenario 2 (Bob & the paid course, §4.2), and check that the
-//! event stream reconstructs into timelines that agree with the outcome.
+//! event stream agrees with the outcome and reconstructs into exactly one
+//! causal trace per negotiation under either strategy.
 
 use peertrust_negotiation::{DisclosedItem, Strategy};
 use peertrust_scenarios::{Scenario1, Scenario2, Variant2};
-use peertrust_telemetry::{Telemetry, Timeline};
+use peertrust_telemetry::{Telemetry, Trace, TraceEvent};
+
+/// The one trace the stream rebuilds to: it validates, has exactly one
+/// root span, and that root covers the outcome's whole simulated run.
+fn single_root_trace(events: &[TraceEvent], elapsed_ticks: u64) -> Trace {
+    let traces = Trace::from_events(events);
+    assert_eq!(traces.len(), 1, "one trace per negotiation");
+    let trace = traces.into_iter().next().unwrap();
+    assert_eq!(trace.id, 1);
+    trace.validate().unwrap_or_else(|e| panic!("{e}"));
+    let roots: Vec<_> = trace.spans.iter().filter(|s| s.parent == 0).collect();
+    assert_eq!(roots.len(), 1, "exactly one root span");
+    assert_eq!(roots[0].name, "negotiation");
+    assert_eq!(roots[0].duration(), elapsed_ticks);
+    trace
+}
 
 #[test]
 fn scenario1_metrics_are_exact() {
@@ -85,44 +101,39 @@ fn scenario1_timeline_covers_the_negotiation() {
     assert!(!events.is_empty());
     assert_eq!(ring.dropped(), 0, "ring must not have evicted events");
 
-    let timelines = Timeline::from_events(&events);
-    // Negotiation 1 plus the engine's layer-internal group (id 0).
-    let tl = timelines
-        .iter()
-        .find(|tl| tl.negotiation == 1)
-        .expect("timeline for negotiation 1");
-
-    // At least one span — the `negotiation` span — and it is closed and
-    // covers the whole simulated run.
-    let span = tl.span_named("negotiation").expect("negotiation span");
-    assert!(span.end_seq > span.start_seq, "span closed");
-    assert_eq!(span.duration(), out.elapsed_ticks);
+    // Every event belongs to negotiation 1: nothing is recorded outside
+    // a negotiation.
+    assert!(events.iter().all(|e| e.negotiation == 1));
+    let trace = single_root_trace(&events, out.elapsed_ticks);
+    // Beyond the root, the trace holds the three remote requests and one
+    // transit span per message.
+    assert_eq!(trace.spans.len(), 1 + 3 + out.messages as usize);
 
     // Event counts match the metrics/outcome exactly.
-    assert_eq!(tl.events_of_kind("negotiation.query").len(), 3);
+    let of_kind =
+        |kind: &str| -> Vec<&TraceEvent> { events.iter().filter(|e| e.kind == kind).collect() };
+    assert_eq!(of_kind("negotiation.query").len(), 3);
     assert_eq!(
-        tl.events_of_kind("negotiation.disclosure").len(),
+        of_kind("negotiation.disclosure").len(),
         out.disclosures.len()
     );
-    assert_eq!(tl.events_of_kind("net.send").len(), out.messages as usize);
-    assert_eq!(tl.events_of_kind("negotiation.refusal").len(), 0);
+    assert_eq!(of_kind("net.send").len(), out.messages as usize);
+    assert_eq!(of_kind("negotiation.refusal").len(), 0);
 
     // The chronological order is coherent: the resource grant is the final
     // disclosure event, as in the paper's sequence `(C1, ..., Ck, R)`.
-    let disclosures = tl.events_of_kind("negotiation.disclosure");
+    let disclosures = of_kind("negotiation.disclosure");
     assert_eq!(
         disclosures.last().unwrap().str_field("kind"),
         Some("resource")
     );
 
-    // JSONL round-trip through serde_json preserves the timelines.
-    let dump: String = timelines.iter().map(Timeline::to_jsonl).collect();
-    for line in dump.lines() {
-        let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON line");
-        assert!(v["kind"].as_str().is_some());
+    // Every event round-trips through one JSON line.
+    for e in &events {
+        let line = serde_json::to_string(e).expect("events serialize");
+        let back: TraceEvent = serde_json::from_str(&line).expect("valid JSON line");
+        assert_eq!(&back, e);
     }
-    let back = Timeline::from_jsonl(&dump).expect("parses");
-    assert_eq!(back, timelines);
 }
 
 #[test]
@@ -190,18 +201,7 @@ fn eager_strategy_is_traced_at_outcome_level() {
     assert_eq!(m.counter("net.payload.query"), 0);
     assert!(m.counter("net.messages") > 0);
 
-    let timelines = Timeline::from_events(&ring.events());
-    let tl = timelines
-        .iter()
-        .find(|tl| tl.negotiation == 1)
-        .expect("timeline for negotiation 1");
-    let span = tl.span_named("negotiation").expect("negotiation span");
-    assert!(span.end_seq > span.start_seq);
-    assert_eq!(
-        tl.events
-            .iter()
-            .find(|e| e.kind == "span.start")
-            .and_then(|e| e.str_field("strategy")),
-        Some("eager")
-    );
+    // The eager round loop records a root-only trace.
+    let trace = single_root_trace(&ring.events(), out.elapsed_ticks);
+    assert_eq!(trace.spans.len(), 1);
 }

@@ -1,20 +1,14 @@
-//! The span/event model.
+//! The event model.
 //!
 //! A [`TraceEvent`] is one timestamped fact about the system. Spans are
-//! not stored as objects: a span is the pair of `span.start`/`span.end`
-//! events sharing a [`SpanId`], and [`crate::timeline`] reconstructs the
-//! interval view from the event stream. This keeps the recorder interface
-//! to a single method and makes the JSONL export self-contained.
+//! not stored as objects: a causal span is the pair of
+//! `trace.start`/`trace.end` events whose fields carry the same `trace`
+//! and `span` coordinates (or a `net.send` and its matching delivery),
+//! and [`crate::trace`] reconstructs the span DAG from the event stream.
+//! This keeps the recorder interface to a single method and makes the
+//! JSONL export self-contained.
 
 use peertrust_crypto::Tick;
-
-/// Identifies a span; `SpanId::NONE` (0) means "not inside any span".
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct SpanId(pub u64);
-
-impl SpanId {
-    pub const NONE: SpanId = SpanId(0);
-}
 
 /// A typed field value.
 #[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
@@ -81,11 +75,9 @@ pub struct TraceEvent {
     /// Domain time — the simulated network tick where one exists, 0 in
     /// purely local layers.
     pub at: Tick,
-    /// Enclosing span (0 = none).
-    pub span: u64,
     /// Negotiation this event belongs to (0 = none).
     pub negotiation: u64,
-    /// What happened: `span.start`, `net.send`, `negotiation.refusal`, ...
+    /// What happened: `trace.start`, `net.send`, `negotiation.refusal`, ...
     pub kind: String,
     pub fields: Vec<Field>,
 }
@@ -122,7 +114,6 @@ mod tests {
         TraceEvent {
             seq: 3,
             at: 12,
-            span: 1,
             negotiation: 7,
             kind: "net.send".into(),
             fields: vec![

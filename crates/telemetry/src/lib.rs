@@ -1,8 +1,8 @@
 //! # peertrust-telemetry
 //!
-//! The observability layer for PeerTrust negotiations: structured tracing
-//! spans, a metrics registry of named counters and histograms, and a
-//! chronological per-negotiation [`Timeline`] export.
+//! The observability layer for PeerTrust negotiations: a structured
+//! event stream, a metrics registry of named counters and histograms, and
+//! per-negotiation causal [`Trace`]s rebuilt from that stream.
 //!
 //! The 2004 prototype had no instrumentation beyond Prolog trace output;
 //! every experiment figure in the paper is an aggregate the authors
@@ -33,13 +33,11 @@
 pub mod event;
 pub mod metrics;
 pub mod recorder;
-pub mod timeline;
 pub mod trace;
 
-pub use event::{Field, SpanId, TraceEvent, Value};
+pub use event::{Field, TraceEvent, Value};
 pub use metrics::{HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use recorder::{JsonlWriter, NoopRecorder, Recorder, RingBuffer};
-pub use timeline::{Span, Timeline};
 pub use trace::{critical_path_summary, to_chrome_json, CriticalPath, SpanKind, Trace, TraceSpan};
 
 pub use peertrust_crypto::Tick;
@@ -52,7 +50,6 @@ struct Inner {
     metrics: Metrics,
     /// Global event sequence — the total order across layers.
     seq: AtomicU64,
-    next_span: AtomicU64,
 }
 
 /// A cloneable handle to one telemetry pipeline (recorder + metrics).
@@ -77,9 +74,7 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 recorder,
                 metrics: Metrics::new(),
-                // Span id 0 means "no span", so both counters start at 1.
                 seq: AtomicU64::new(1),
-                next_span: AtomicU64::new(1),
             })),
         }
     }
@@ -119,46 +114,18 @@ impl Telemetry {
         }
     }
 
-    /// Emit one event. `span`/`negotiation` may be 0 ("none").
-    pub fn event(&self, at: Tick, span: SpanId, negotiation: u64, kind: &str, fields: Vec<Field>) {
+    /// Emit one event. `negotiation` may be 0 ("none").
+    pub fn event(&self, at: Tick, negotiation: u64, kind: &str, fields: Vec<Field>) {
         if let Some(inner) = self.inner.as_deref() {
             let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
             inner.recorder.record(TraceEvent {
                 seq,
                 at,
-                span: span.0,
                 negotiation,
                 kind: kind.to_string(),
                 fields,
             });
         }
-    }
-
-    /// Open a span: allocates an id and emits a `span.start` event carrying
-    /// the span's name. Returns [`SpanId::NONE`] when disabled, which
-    /// [`Telemetry::span_end`] ignores.
-    pub fn span_start(
-        &self,
-        at: Tick,
-        negotiation: u64,
-        name: &str,
-        mut fields: Vec<Field>,
-    ) -> SpanId {
-        let Some(inner) = self.inner.as_deref() else {
-            return SpanId::NONE;
-        };
-        let id = SpanId(inner.next_span.fetch_add(1, Ordering::Relaxed));
-        fields.insert(0, Field::str("name", name));
-        self.event(at, id, negotiation, "span.start", fields);
-        id
-    }
-
-    /// Close a span opened with [`Telemetry::span_start`].
-    pub fn span_end(&self, at: Tick, span: SpanId, negotiation: u64, fields: Vec<Field>) {
-        if span == SpanId::NONE {
-            return;
-        }
-        self.event(at, span, negotiation, "span.end", fields);
     }
 
     /// Flush the underlying recorder (meaningful for buffered writers).
@@ -189,10 +156,7 @@ mod tests {
         assert!(!t.enabled());
         t.incr("x", 1);
         t.observe("y", 5);
-        t.event(0, SpanId::NONE, 0, "k", vec![]);
-        let span = t.span_start(0, 0, "s", vec![]);
-        assert_eq!(span, SpanId::NONE);
-        t.span_end(0, span, 0, vec![]);
+        t.event(0, 0, "k", vec![]);
         assert!(t.metrics().is_none());
     }
 
@@ -203,31 +167,27 @@ mod tests {
         t.incr("queries", 2);
         t.incr("queries", 1);
         t.observe("depth", 4);
-        let span = t.span_start(10, 7, "negotiation", vec![Field::str("goal", "r(x)")]);
-        t.event(11, span, 7, "query", vec![Field::u64("qid", 1)]);
-        t.span_end(12, span, 7, vec![]);
+        t.event(
+            10,
+            7,
+            "trace.start",
+            vec![Field::str("name", "negotiation")],
+        );
+        t.event(11, 7, "query", vec![Field::u64("qid", 1)]);
+        t.event(12, 7, "trace.end", vec![]);
 
         let events = ring.events();
         assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, "span.start");
+        assert_eq!(events[0].kind, "trace.start");
         assert_eq!(events[1].kind, "query");
-        assert_eq!(events[2].kind, "span.end");
-        // Same span id throughout, global sequence strictly increasing.
-        assert!(events.iter().all(|e| e.span == span.0));
+        assert_eq!(events[2].kind, "trace.end");
+        // Same negotiation throughout, global sequence strictly increasing.
+        assert!(events.iter().all(|e| e.negotiation == 7));
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
 
         let m = t.metrics().unwrap().snapshot();
         assert_eq!(m.counters["queries"], 3);
         assert_eq!(m.histograms["depth"].count, 1);
         assert_eq!(m.histograms["depth"].max, 4);
-    }
-
-    #[test]
-    fn spans_get_distinct_ids() {
-        let (t, _ring) = Telemetry::ring(8);
-        let a = t.span_start(0, 1, "a", vec![]);
-        let b = t.span_start(0, 2, "b", vec![]);
-        assert_ne!(a, b);
-        assert_ne!(a, SpanId::NONE);
     }
 }

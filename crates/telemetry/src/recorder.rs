@@ -4,8 +4,8 @@
 //! sinks are provided: an in-memory [`RingBuffer`] (bounded, oldest-first
 //! eviction — the default for tests and interactive inspection) and a
 //! [`JsonlWriter`] streaming one JSON object per line to any `io::Write`
-//! (the archival/offline-analysis format; `Timeline::from_jsonl` reads it
-//! back).
+//! (the archival/offline-analysis format; each line parses back into a
+//! [`TraceEvent`] with `serde_json`).
 
 use crate::event::TraceEvent;
 use parking_lot::Mutex;
@@ -136,7 +136,6 @@ mod tests {
         TraceEvent {
             seq,
             at: seq * 10,
-            span: 1,
             negotiation: 1,
             kind: "test".into(),
             fields: vec![Field::u64("n", seq)],

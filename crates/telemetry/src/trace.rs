@@ -4,9 +4,9 @@
 //! A negotiation is one *trace* (trace id = negotiation id). Inside a
 //! trace, the session and the transports emit events carrying span
 //! coordinates in their fields — `trace`, `span`, `parent` — where span
-//! ids are allocated from a per-negotiation counter (NOT the global
-//! telemetry span counter), so the reconstructed trace is deterministic
-//! across runs and scheduler worker counts. Four span kinds exist:
+//! ids are allocated from a per-negotiation counter, so the
+//! reconstructed trace is deterministic across runs and scheduler worker
+//! counts. Four span kinds exist:
 //!
 //! * **root** — the whole negotiation, opened/closed by the session
 //!   (`trace.start`/`trace.end` events);
@@ -144,7 +144,7 @@ pub struct Trace {
 impl Trace {
     /// Reconstruct one trace per negotiation from a recorded event
     /// stream, ordered by trace id. Events without trace coordinates are
-    /// ignored, so this can consume the same stream `Timeline` does.
+    /// ignored, so this can consume a whole mixed-layer stream.
     pub fn from_events(events: &[TraceEvent]) -> Vec<Trace> {
         let mut evs: Vec<&TraceEvent> = events.iter().collect();
         evs.sort_by_key(|e| e.seq);
@@ -525,7 +525,6 @@ mod tests {
         let tr = |v| Field::u64("trace", v);
         t.event(
             0,
-            crate::SpanId::NONE,
             1,
             "trace.start",
             vec![
@@ -539,7 +538,6 @@ mod tests {
         );
         t.event(
             0,
-            crate::SpanId::NONE,
             1,
             "trace.start",
             vec![
@@ -553,7 +551,6 @@ mod tests {
         );
         t.event(
             0,
-            crate::SpanId::NONE,
             1,
             "net.send",
             vec![
@@ -567,7 +564,6 @@ mod tests {
         );
         t.event(
             1,
-            crate::SpanId::NONE,
             1,
             "net.fault",
             vec![
@@ -579,7 +575,6 @@ mod tests {
         );
         t.event(
             4,
-            crate::SpanId::NONE,
             1,
             "net.deliver",
             vec![
@@ -592,7 +587,6 @@ mod tests {
         // Backoff while waiting for the (delayed) answer.
         t.event(
             4,
-            crate::SpanId::NONE,
             1,
             "trace.start",
             vec![
@@ -604,12 +598,9 @@ mod tests {
                 Field::str("kind", "backoff"),
             ],
         );
-        t.event(6, crate::SpanId::NONE, 1, "trace.end", {
-            vec![tr(1), Field::u64("span", 4)]
-        });
+        t.event(6, 1, "trace.end", vec![tr(1), Field::u64("span", 4)]);
         t.event(
             6,
-            crate::SpanId::NONE,
             1,
             "net.send",
             vec![
@@ -623,7 +614,6 @@ mod tests {
         );
         t.event(
             8,
-            crate::SpanId::NONE,
             1,
             "net.deliver",
             vec![
@@ -633,12 +623,8 @@ mod tests {
                 Field::u64("span", 5),
             ],
         );
-        t.event(8, crate::SpanId::NONE, 1, "trace.end", {
-            vec![tr(1), Field::u64("span", 2)]
-        });
-        t.event(10, crate::SpanId::NONE, 1, "trace.end", {
-            vec![tr(1), Field::u64("span", 1)]
-        });
+        t.event(8, 1, "trace.end", vec![tr(1), Field::u64("span", 2)]);
+        t.event(10, 1, "trace.end", vec![tr(1), Field::u64("span", 1)]);
         ring.events()
     }
 
@@ -687,7 +673,6 @@ mod tests {
         let (t, ring) = Telemetry::ring(8);
         t.event(
             0,
-            crate::SpanId::NONE,
             1,
             "trace.start",
             vec![
@@ -700,7 +685,6 @@ mod tests {
         );
         t.event(
             3,
-            crate::SpanId::NONE,
             1,
             "net.deliver",
             vec![Field::u64("trace", 1), Field::u64("span", 9)],

@@ -3,9 +3,10 @@
 //!
 //! `cargo xtask verify` runs the exact step sequence of
 //! `.github/workflows/ci.yml` — format, clippy, release build, tests,
-//! docs, the experiments binary, and the `e13_caching`/`e14_throughput`
-//! bench smokes — so the local verification recipe and CI cannot drift:
-//! editing one means editing [`STEPS`], which is what both consume.
+//! docs, the experiments binary, the `negbench` build, and the
+//! `e13_caching`/`e14_throughput` bench smokes — so the local
+//! verification recipe and CI cannot drift: editing one means editing
+//! [`STEPS`], which is what both consume.
 //! `cargo xtask verify --threads` appends [`THREAD_STEPS`], the
 //! concurrent-path smoke pass (shared-table stress, batch-scheduler
 //! determinism, shared-cache concurrency). `cargo xtask verify --faults`
@@ -97,6 +98,17 @@ const STEPS: &[Step] = &[
             "peertrust-negotiation",
             "--test",
             "prop_trace",
+        ],
+        &[],
+    ),
+    step(
+        "build negbench (end-to-end benchmark, a workspace of its own)",
+        &[
+            "build",
+            "--release",
+            "--offline",
+            "--manifest-path",
+            "negbench/Cargo.toml",
         ],
         &[],
     ),

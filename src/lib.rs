@@ -21,8 +21,9 @@
 //!   triple store, KB mapping).
 //! * [`scenarios`] — the paper's worked scenarios and synthetic workload
 //!   generators.
-//! * [`telemetry`] — zero-dependency tracing spans, per-peer metrics, and
-//!   JSONL timeline export for negotiations (see README "Observability").
+//! * [`telemetry`] — zero-dependency event stream, per-peer metrics, and
+//!   per-negotiation causal traces with Chrome trace export (see README
+//!   "Observability").
 //!
 //! ## Quickstart
 //!
