@@ -211,16 +211,19 @@ impl KnowledgeBase {
 
     /// Add a locally defined rule.
     pub fn add_local(&mut self, rule: Rule) -> RuleId {
-        self.add(rule, RuleOrigin::Local)
+        self.add_shared(Arc::new(rule), RuleOrigin::Local)
     }
 
     /// Add a rule received from `from` (signature verification is the
     /// caller's job — see `peertrust-crypto`).
     pub fn add_received(&mut self, rule: Rule, from: PeerId) -> RuleId {
-        self.add(rule, RuleOrigin::Received(from))
+        self.add_shared(Arc::new(rule), RuleOrigin::Received(from))
     }
 
-    fn add(&mut self, rule: Rule, origin: RuleOrigin) -> RuleId {
+    /// Append a rule already held behind an `Arc` — typically one stored
+    /// in another KB — sharing it instead of deep-copying. Ids, index
+    /// buckets and fingerprints are exactly those of adding the pointee.
+    pub fn add_shared(&mut self, rule: Arc<Rule>, origin: RuleOrigin) -> RuleId {
         use std::hash::{Hash, Hasher};
         let idx = self.len(); // global clause id
         let id = RuleId(u32::try_from(idx).expect("kb overflow"));
@@ -241,11 +244,7 @@ impl KnowledgeBase {
                 .push(idx),
             None => self.overlay.var_headed.entry(key).or_default().push(idx),
         }
-        self.overlay.rules.push(StoredRule {
-            id,
-            rule: Arc::new(rule),
-            origin,
-        });
+        self.overlay.rules.push(StoredRule { id, rule, origin });
         let known_in_base = self
             .base
             .as_ref()

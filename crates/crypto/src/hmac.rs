@@ -8,32 +8,45 @@ use crate::sha256::{sha256, Digest, Sha256};
 
 const BLOCK: usize = 64;
 
+/// An HMAC-SHA256 key with its key schedule precomputed: the SHA-256
+/// midstates after absorbing the inner (`key ^ ipad`) and outer
+/// (`key ^ opad`) blocks. Each tag then costs the message's blocks plus
+/// two finalizations, instead of re-padding the key and re-hashing both
+/// pad blocks per call.
+pub(crate) struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    pub(crate) fn new(key: &[u8]) -> HmacKey {
+        // Keys longer than the block size are hashed first.
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            k[..32].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&k.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&k.map(|b| b ^ 0x5c));
+        HmacKey { inner, outer }
+    }
+
+    /// `HMAC-SHA256(key, message)`.
+    pub(crate) fn mac(&self, message: &[u8]) -> Digest {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// Compute `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    // Keys longer than the block size are hashed first.
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        k[..32].copy_from_slice(&sha256(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0u8; BLOCK];
-    let mut opad = [0u8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] = k[i] ^ 0x36;
-        opad[i] = k[i] ^ 0x5c;
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-time tag comparison (avoids the classic timing side channel,
@@ -99,6 +112,19 @@ mod tests {
     fn different_keys_different_tags() {
         assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
         assert_ne!(hmac_sha256(b"k", b"m1"), hmac_sha256(b"k", b"m2"));
+    }
+
+    #[test]
+    fn precomputed_key_matches_one_shot() {
+        // Short, block-sized and longer-than-block keys; empty and
+        // multi-block messages.
+        for key in [&b"k"[..], &[0x42; 64], &[0xaa; 131]] {
+            let hk = HmacKey::new(key);
+            for msg in [&b""[..], b"m", &[7u8; 200]] {
+                assert_eq!(hk.mac(msg), hmac_sha256(key, msg));
+                assert_eq!(hk.mac(msg), hk.mac(msg), "midstates are not consumed");
+            }
+        }
     }
 
     #[test]

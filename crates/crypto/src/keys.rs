@@ -17,7 +17,7 @@
 //! exposes sign/verify, never raw secrets, so the trust boundary matches a
 //! real public-key deployment.
 
-use crate::hmac::{hmac_sha256, verify_tag};
+use crate::hmac::{verify_tag, HmacKey};
 use crate::sha256::Digest;
 use parking_lot::RwLock;
 use peertrust_core::PeerId;
@@ -74,10 +74,11 @@ impl std::error::Error for KeyError {}
 
 /// The shared trusted key registry (simulated CA).
 ///
-/// Cloning is cheap (`Arc` inside); all clones see the same key set.
+/// Cloning is cheap (`Arc` inside); all clones see the same key set. Each
+/// issuer's HMAC key schedule is precomputed once at registration.
 #[derive(Clone, Default)]
 pub struct KeyRegistry {
-    inner: Arc<RwLock<HashMap<PeerId, SecretKey>>>,
+    inner: Arc<RwLock<HashMap<PeerId, HmacKey>>>,
 }
 
 impl KeyRegistry {
@@ -87,7 +88,7 @@ impl KeyRegistry {
 
     /// Register (or replace) the key for `issuer`.
     pub fn register(&self, issuer: PeerId, key: SecretKey) {
-        self.inner.write().insert(issuer, key);
+        self.inner.write().insert(issuer, HmacKey::new(&key.0));
     }
 
     /// Register a derived key for `issuer`; convenience for scenario setup.
@@ -104,7 +105,7 @@ impl KeyRegistry {
     pub fn sign(&self, issuer: PeerId, message: &[u8]) -> Result<Digest, KeyError> {
         let guard = self.inner.read();
         let key = guard.get(&issuer).ok_or(KeyError::UnknownIssuer(issuer))?;
-        Ok(hmac_sha256(&key.0, message))
+        Ok(key.mac(message))
     }
 
     /// Check that `tag` is `issuer`'s tag over `message`.
@@ -127,6 +128,7 @@ impl fmt::Debug for KeyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmac::hmac_sha256;
 
     #[test]
     fn sign_verify_roundtrip() {
@@ -172,6 +174,23 @@ mod tests {
             reg.verify(ghost, b"m", &[0u8; 32]).unwrap_err(),
             KeyError::UnknownIssuer(ghost)
         );
+    }
+
+    #[test]
+    fn reregistering_an_issuer_invalidates_old_tags() {
+        let reg = KeyRegistry::new();
+        let uiuc = PeerId::new("UIUC");
+        reg.register_derived(uiuc, 1);
+        let old = reg.sign(uiuc, b"m").unwrap();
+        reg.register_derived(uiuc, 2);
+        assert_eq!(
+            reg.verify(uiuc, b"m", &old),
+            Err(KeyError::BadSignature(uiuc))
+        );
+        let new = reg.sign(uiuc, b"m").unwrap();
+        assert_ne!(new, old);
+        assert!(reg.verify(uiuc, b"m", &new).is_ok());
+        assert_eq!(new, hmac_sha256(&SecretKey::derive(uiuc, 2).0, b"m"));
     }
 
     #[test]

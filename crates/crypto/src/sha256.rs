@@ -88,11 +88,20 @@ impl Sha256 {
     /// Finish and produce the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
+        // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian
+        // bit length — absorbed in one update.
+        const PAD: [u8; 64] = {
+            let mut pad = [0u8; 64];
+            pad[0] = 0x80;
+            pad
+        };
+        let pad_len = if self.buf_len < 56 {
+            56 - self.buf_len
+        } else {
+            120 - self.buf_len
+        };
+        self.update(&PAD[..pad_len]);
+        debug_assert_eq!(self.buf_len, 56);
         // Manual write of the length; bypass update's total_len bump by
         // compressing directly.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());

@@ -8,7 +8,7 @@
 //! answer a few kinds of queries, and those only for a few kinds of
 //! requesters").
 
-use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, RuleId, Sym};
+use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, RuleId, RuleOrigin, Sym};
 use peertrust_crypto::{sign_rule, verify_signed_rule, KeyRegistry, SigError, SignedRule};
 use peertrust_engine::{CompiledKb, EngineConfig};
 use peertrust_parser::{parse_program, ParseError};
@@ -115,7 +115,9 @@ pub fn sender_extended(rule: &Rule, from: PeerId) -> Option<Rule> {
 /// that has not changed since the freeze. The batch scheduler and the
 /// open-loop serving driver freeze the peer map once at setup and then
 /// clone it per job/session; each negotiation mutates only its own
-/// overlay (disclosed credentials, session state).
+/// overlay (disclosed credentials, session state). The signed-credential
+/// view that answer verification reads is never built by `freeze`, so a
+/// snapshot that verifies nothing pays one null pointer for it.
 #[derive(Clone)]
 pub struct NegotiationPeer {
     pub id: PeerId,
@@ -140,6 +142,13 @@ pub struct NegotiationPeer {
     /// engine's fingerprint check makes a stale artifact harmless
     /// regardless.
     compiled: Option<Arc<CompiledKb>>,
+    /// Live signed-credential view: the contents of
+    /// [`NegotiationPeer::signed_only_kb`], built on the first
+    /// [`NegotiationPeer::signed_view`] call and then kept current by every
+    /// signed insert ([`NegotiationPeer::mint`], accepted
+    /// [`NegotiationPeer::receive_signed_mode`]). Boxed so an unbuilt view
+    /// costs one pointer per snapshot.
+    signed_view: Option<Box<KnowledgeBase>>,
 }
 
 impl NegotiationPeer {
@@ -152,6 +161,7 @@ impl NegotiationPeer {
             signed_base: Arc::new(HashMap::new()),
             signed_overlay: HashMap::new(),
             compiled: None,
+            signed_view: None,
         }
     }
 
@@ -162,11 +172,16 @@ impl NegotiationPeer {
 
     /// Freeze this peer's mutable state into `Arc`-shared form: the KB's
     /// overlay folds into its frozen base ([`KnowledgeBase::freeze`]) and
-    /// the signed-rule overlay folds into the shared signed map. After
-    /// freezing, `clone` is O(1) and concurrent sessions share one copy
-    /// of the rule store. Idempotent; call again after bulk setup growth.
+    /// the signed-rule overlay folds into the shared signed map, and an
+    /// already built signed view is frozen too (an unbuilt one stays
+    /// unbuilt). After freezing, `clone` is O(1) and concurrent sessions
+    /// share one copy of the rule store. Idempotent; call again after bulk
+    /// setup growth.
     pub fn freeze(&mut self) {
         self.kb.freeze();
+        if let Some(view) = self.signed_view.as_deref_mut() {
+            view.freeze();
+        }
         if !self.signed_overlay.is_empty() {
             let mut base = Arc::try_unwrap(std::mem::take(&mut self.signed_base))
                 .unwrap_or_else(|arc| (*arc).clone());
@@ -176,11 +191,16 @@ impl NegotiationPeer {
     }
 
     /// Is all of this peer's rule/signature state already in the shared
-    /// frozen base (both overlays empty)? Cloning a frozen peer is O(1),
-    /// so batch drivers skip their setup copy when handed a pre-frozen
-    /// map.
+    /// frozen base (every overlay empty, the signed view's included)?
+    /// Cloning a frozen peer is O(1), so batch drivers skip their setup
+    /// copy when handed a pre-frozen map.
     pub fn is_frozen(&self) -> bool {
-        self.kb.frozen_len() == self.kb.len() && self.signed_overlay.is_empty()
+        self.kb.frozen_len() == self.kb.len()
+            && self.signed_overlay.is_empty()
+            && self
+                .signed_view
+                .as_deref()
+                .map_or(true, |v| v.frozen_len() == v.len())
     }
 
     /// Compile this peer's current KB to the engine's WAM-lite bytecode
@@ -229,18 +249,32 @@ impl NegotiationPeer {
     /// the holder this credential".
     pub fn mint(&mut self, rule: Rule) -> Result<RuleId, PeerError> {
         let signed = sign_rule(&self.registry, &rule)?;
-        let id = self.kb.add_local(rule.clone());
-        self.signed_overlay.insert(id, signed.clone());
+        let ext = issuer_extended(&rule);
+        // Store a compact copy: a freshly parsed rule keeps its parser
+        // vectors' spare capacity for as long as the KB holds it.
+        let id = self.add_signed(Arc::new(rule.clone()), RuleOrigin::Local, signed.clone());
         // §3.2 axiom: a signed fact also derives its `@ issuer` form. The
         // extension maps back to the same signature bundle, so pushing or
         // verifying either form ships the real credential.
-        if let Some(ext) = issuer_extended(&rule) {
+        if let Some(ext) = ext {
             if !self.kb.contains(&ext) {
-                let eid = self.kb.add_local(ext);
-                self.signed_overlay.insert(eid, signed);
+                self.add_signed(Arc::new(ext), RuleOrigin::Local, signed);
             }
         }
         Ok(id)
+    }
+
+    /// Append one signature-backed rule: to the KB, to the signed overlay,
+    /// and — when it is built — to the signed view, sharing the KB's `Arc`.
+    /// Every signed insert goes through here, so the view stays equal to a
+    /// fresh [`NegotiationPeer::signed_only_kb`] in rules and order.
+    fn add_signed(&mut self, rule: Arc<Rule>, origin: RuleOrigin, signed: SignedRule) -> RuleId {
+        if let Some(view) = self.signed_view.as_deref_mut() {
+            view.add_shared(Arc::clone(&rule), RuleOrigin::Received(self.id));
+        }
+        let id = self.kb.add_shared(rule, origin);
+        self.signed_overlay.insert(id, signed);
+        id
     }
 
     /// Verify and accept a signed rule pushed by `from`. Duplicates are
@@ -286,17 +320,18 @@ impl NegotiationPeer {
         if self.kb.contains(&signed.rule) {
             return Ok(false);
         }
-        let id = self.kb.add_received(signed.rule.clone(), from);
-        if let Some(extended) = sender_extended(&signed.rule, from) {
+        let origin = RuleOrigin::Received(from);
+        let sender_ext = sender_extended(&signed.rule, from);
+        let issuer_ext = issuer_extended(&signed.rule);
+        self.add_signed(Arc::new(signed.rule.clone()), origin, signed.clone());
+        if let Some(extended) = sender_ext {
             self.kb.add_received_dedup(extended, from);
         }
-        if let Some(ext) = issuer_extended(&signed.rule) {
+        if let Some(ext) = issuer_ext {
             if !self.kb.contains(&ext) {
-                let eid = self.kb.add_received(ext, from);
-                self.signed_overlay.insert(eid, signed.clone());
+                self.add_signed(Arc::new(ext), origin, signed);
             }
         }
-        self.signed_overlay.insert(id, signed);
         Ok(true)
     }
 
@@ -339,15 +374,37 @@ impl NegotiationPeer {
 
     /// A knowledge base containing only signature-backed rules (local
     /// minted + received, including their issuer-extended `lit @ A` forms)
-    /// — the material admissible in a *certified* proof.
+    /// — the material admissible in a *certified* proof. Built from
+    /// scratch on every call, sharing this peer's `Arc<Rule>`s; requester
+    /// verification reads a live view with the same contents instead,
+    /// built once and then appended to by every signed insert.
     pub fn signed_only_kb(&self) -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
         for sr in self.kb.iter() {
             if self.signed_overlay.contains_key(&sr.id) || self.signed_base.contains_key(&sr.id) {
-                kb.add_received(sr.rule.as_ref().clone(), self.id);
+                kb.add_shared(Arc::clone(&sr.rule), RuleOrigin::Received(self.id));
             }
         }
         kb
+    }
+
+    /// The signed-credential view: the same rules, in the same order and
+    /// with the same fingerprint, as [`NegotiationPeer::signed_only_kb`].
+    /// Built on the first call and kept current afterwards by every signed
+    /// insert, so repeated verifications within a negotiation share one
+    /// build instead of rebuilding per answer set.
+    pub(crate) fn signed_view(&mut self) -> &KnowledgeBase {
+        let view = match self.signed_view.take() {
+            Some(view) => view,
+            None => Box::new(self.signed_only_kb()),
+        };
+        self.signed_view.insert(view)
+    }
+
+    /// Has [`NegotiationPeer::signed_view`] been built on this peer (or on
+    /// the peer it was cloned from)?
+    pub(crate) fn has_signed_view(&self) -> bool {
+        self.signed_view.is_some()
     }
 }
 
@@ -465,6 +522,130 @@ mod tests {
             "original unchanged"
         );
         assert!(grown.kb.shares_base_with(&alice.kb), "base still shared");
+    }
+
+    /// The view's observable content: rules with origins, in order, plus
+    /// the fingerprint.
+    fn kb_content(kb: &KnowledgeBase) -> (Vec<(Rule, RuleOrigin)>, peertrust_core::KbFingerprint) {
+        let rules = kb
+            .iter()
+            .map(|sr| ((*sr.rule).clone(), sr.origin))
+            .collect();
+        (rules, kb.fingerprint())
+    }
+
+    /// Signed rules another peer could push: credentials with and without
+    /// the issuer as head authority (the latter gain an issuer-extended
+    /// form) and a signed delegation rule.
+    fn pushable(k: u8) -> SignedRule {
+        let src = match k % 3 {
+            0 => format!(r#"member("P{k}") @ "BBB" signedBy ["BBB"]."#),
+            1 => format!(r#"badge("P{k}") signedBy ["BBB"]."#),
+            _ => format!(r#"member(X) @ "BBB" <- signedBy ["BBB"] badge{k}(X) @ "UIUC"."#),
+        };
+        let mut source = NegotiationPeer::new("Source", registry());
+        let id = source.load_program(&src).unwrap()[0];
+        source.signed_rule(id).unwrap().clone()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        #[test]
+        fn signed_view_equals_a_fresh_rebuild(
+            ops in proptest::collection::vec((0u8..8, 0u8..6), 0..40)
+        ) {
+            let mut peer = NegotiationPeer::new("Alice", registry());
+            let mut snapshots = Vec::new();
+            for (op, k) in ops {
+                match op {
+                    0 => {
+                        peer.load_program(&format!(r#"student("S{k}") @ "UIUC" signedBy ["UIUC"]."#))
+                            .unwrap();
+                    }
+                    1 => {
+                        peer.load_program(&format!(r#"id("S{k}") signedBy ["UIUC"]."#)).unwrap();
+                    }
+                    2 => {
+                        let _ = peer.receive_signed(pushable(k), PeerId::new("Bob")).unwrap();
+                    }
+                    3 => {
+                        let mut bad = pushable(k);
+                        bad.rule.head.args[0] = Term::str("Mallory");
+                        proptest::prop_assert!(peer.receive_signed(bad, PeerId::new("Bob")).is_err());
+                    }
+                    4 => peer.freeze(),
+                    5 => {
+                        snapshots.push(peer.clone());
+                    }
+                    6 => {
+                        peer.signed_view();
+                    }
+                    _ => {
+                        peer.add_rule(Rule::fact(Literal::new("plain", vec![Term::int(k.into())])));
+                    }
+                }
+                if peer.has_signed_view() {
+                    let rebuilt = kb_content(&peer.signed_only_kb());
+                    proptest::prop_assert_eq!(kb_content(peer.signed_view()), rebuilt);
+                }
+            }
+            // Every snapshot's view — built at the time or lazily now —
+            // still equals its own rebuild, whatever the original did since.
+            snapshots.push(peer);
+            for mut snap in snapshots {
+                let rebuilt = kb_content(&snap.signed_only_kb());
+                proptest::prop_assert_eq!(kb_content(snap.signed_view()), rebuilt);
+            }
+        }
+    }
+
+    #[test]
+    fn tampered_push_never_enters_the_view() {
+        let mut elearn = NegotiationPeer::new("E-Learn", registry());
+        assert_eq!(elearn.signed_view().len(), 0);
+        let good = pushable(0);
+        let mut bad = good.clone();
+        bad.rule.head.args[0] = Term::str("Mallory");
+        assert!(elearn
+            .receive_signed(bad.clone(), PeerId::new("Bob"))
+            .is_err());
+        assert_eq!(elearn.signed_view().len(), 0);
+        assert!(elearn.receive_signed(good, PeerId::new("Bob")).unwrap());
+        // Only the credential (its head already names the issuer, so it
+        // has no issuer-extended form): never the tampered head, and never
+        // the unsigned sender-extended fact.
+        let view: Vec<String> = elearn
+            .signed_view()
+            .iter()
+            .map(|sr| sr.rule.to_string())
+            .collect();
+        assert_eq!(view.len(), 1, "{view:?}");
+        assert!(!elearn.signed_view().contains(&bad.rule.strip_contexts()));
+        assert!(elearn.kb.len() > elearn.signed_view().len());
+    }
+
+    #[test]
+    fn signed_view_shares_the_kb_rules() {
+        let mut alice = NegotiationPeer::new("Alice", registry());
+        alice
+            .load_program(r#"student("Alice") @ "UIUC" signedBy ["UIUC"]."#)
+            .unwrap();
+        let first = alice.kb.iter().next().unwrap().rule.clone();
+        assert!(!alice.has_signed_view());
+        let view_rule = alice.signed_view().iter().next().unwrap().rule.clone();
+        assert!(Arc::ptr_eq(&first, &view_rule), "no deep copy");
+        assert!(
+            !alice.is_frozen(),
+            "an unfrozen view keeps the peer unfrozen"
+        );
+        alice.freeze();
+        let snap = alice.clone();
+        assert!(snap.has_signed_view() && snap.is_frozen());
+        let (a, b) = (alice.signed_view.as_deref(), snap.signed_view.as_deref());
+        assert!(
+            a.unwrap().shares_base_with(b.unwrap()),
+            "frozen view clones by Arc"
+        );
     }
 
     #[test]

@@ -286,7 +286,7 @@ pub(crate) fn negotiate_with_cache(
         gem: GemState::default(),
     };
 
-    let root_span = session.trace_push("negotiation", requester, "root");
+    let root_span = session.trace_push(format_args!("negotiation"), requester, "root");
     let granted = session.request(requester, responder, goal.clone(), 0);
     let success = !granted.is_empty();
     if success {
@@ -549,7 +549,9 @@ impl<'a> Session<'a> {
 
     /// Open a causal span: emit `trace.start` and make it the parent for
     /// nested spans and message sends until the matching [`Session::trace_pop`].
-    fn trace_push(&mut self, name: &str, peer: PeerId, kind: &str) -> u64 {
+    /// The name is formatted only when telemetry is enabled, so the
+    /// untraced path allocates nothing here.
+    fn trace_push(&mut self, name: std::fmt::Arguments<'_>, peer: PeerId, kind: &str) -> u64 {
         if !self.telemetry.enabled() {
             return 0;
         }
@@ -561,7 +563,7 @@ impl<'a> Session<'a> {
             self.nid,
             id,
             parent,
-            name,
+            &name.to_string(),
             peer,
             kind,
         );
@@ -800,7 +802,7 @@ impl<'a> Session<'a> {
             // (the shift is clamped: the cap takes over long before it
             // could overflow).
             let backoff = (cfg.backoff_base << (attempts - 1).min(16)).min(cfg.backoff_cap);
-            let bspan = self.trace_push(&format!("backoff {kind}"), sender, "backoff");
+            let bspan = self.trace_push(format_args!("backoff {kind}"), sender, "backoff");
             let b0 = self.net.now();
             self.net.advance_to((now + backoff).min(deadline));
             self.backoff_ticks += self.net.now().saturating_sub(b0);
@@ -919,7 +921,7 @@ impl<'a> Session<'a> {
         // A cache miss means real work: open a causal span covering the
         // query round-trip (and everything nested under it — the
         // responder's solve, counter-queries, pushes, answers).
-        let tspan = self.trace_push(&format!("request {goal}"), to, "request");
+        let tspan = self.trace_push(format_args!("request {goal}"), to, "request");
         let out = self.request_inner(from, to, goal, depth, key, cache_key);
         self.trace_pop(tspan);
         out
@@ -1156,7 +1158,9 @@ impl<'a> Session<'a> {
         }
 
         // Requester-side verification: third-party statements must be
-        // re-derivable from signed material.
+        // re-derivable from signed material — the requester's live signed
+        // view, which already holds any push accepted above. An empty
+        // answer set has nothing to check.
         let verify = self
             .peers
             .get(from)
@@ -1164,13 +1168,21 @@ impl<'a> Session<'a> {
             .unwrap_or(false);
         let self_certified = goal.authority.is_empty() || goal.eval_peer() == Some(to);
         let mut any_dropped = false;
-        if verify && !self_certified {
-            let requester_peer = self.peers.get(from).expect("requester exists");
-            let signed_kb = requester_peer.signed_only_kb();
+        if verify && !self_certified && !accepted_answers.is_empty() {
+            let requester_peer = self.peers.get_mut(from).expect("requester exists");
             let engine = requester_peer.config.engine;
+            let built = !requester_peer.has_signed_view();
+            let signed_kb = requester_peer.signed_view();
+            if self.telemetry.enabled() {
+                self.telemetry
+                    .incr("negotiation.verify.checks", accepted_answers.len() as u64);
+                if built {
+                    self.telemetry.incr("negotiation.verify.view_builds", 1);
+                }
+            }
             let mut dropped = Vec::new();
             accepted_answers.retain(|a| {
-                let mut solver = Solver::new(&signed_kb, from).with_config(engine);
+                let mut solver = Solver::new(signed_kb, from).with_config(engine);
                 let ok = solver.provable(std::slice::from_ref(a));
                 if !ok {
                     dropped.push(a.clone());
@@ -1253,7 +1265,7 @@ impl<'a> Session<'a> {
         if is_new && self.telemetry.enabled() {
             self.telemetry.incr("negotiation.gem.loops", 1);
         }
-        let span = self.trace_push(&format!("gem loop {goal}"), to, "gem");
+        let span = self.trace_push(format_args!("gem loop {goal}"), to, "gem");
 
         let qid = QueryId(self.next_query);
         self.next_query += 1;
@@ -1335,7 +1347,7 @@ impl<'a> Session<'a> {
         Vec<(SignedRule, Context, Vec<Evidence>, Context)>,
     )> {
         self.gem.scc_index_by_anchor(key)?;
-        let span = self.trace_push(&format!("gem fixpoint {goal}"), to, "gem");
+        let span = self.trace_push(format_args!("gem fixpoint {goal}"), to, "gem");
         loop {
             // Re-locate each round: a re-evaluation can close an outer
             // loop and merge the component outward, moving the anchor.
@@ -1356,7 +1368,7 @@ impl<'a> Session<'a> {
             self.telemetry.incr("negotiation.gem.rounds", 1);
             let edges = self.gem.scc_at(idx).round_order();
             let edges_before = self.gem.scc_at(idx).edges.len();
-            let rspan = self.trace_push(&format!("gem round {round}"), to, "gem");
+            let rspan = self.trace_push(format_args!("gem round {round}"), to, "gem");
             let mut changed = false;
             for e in &edges {
                 // The anchor frame stays pinned on the stack so
@@ -1715,9 +1727,9 @@ impl<'a> Session<'a> {
         // Valid for `kb` whenever it is (a clone of) the responder's KB;
         // the engine's fingerprint check ignores it otherwise.
         let compiled = responder_peer.compiled();
-        let candidates: Vec<(peertrust_core::RuleId, peertrust_core::Rule)> = kb
+        let candidates: Vec<(peertrust_core::RuleId, std::sync::Arc<peertrust_core::Rule>)> = kb
             .candidates(answer)
-            .map(|sr| (sr.id, sr.rule.as_ref().clone()))
+            .map(|sr| (sr.id, std::sync::Arc::clone(&sr.rule)))
             .collect();
 
         // §3.2 self-closure: a chainless answer is equivalent to
@@ -2066,6 +2078,65 @@ mod tests {
 
         let out = run(&mut peers, "Alice", "E-Learn", r#"resource("Alice")"#);
         assert!(!out.success, "unsigned claim must not grant access");
+    }
+
+    #[test]
+    fn answer_backed_by_a_push_in_its_own_exchange_verifies_against_a_built_view() {
+        // E-Learn verifies two third-party answers from Alice. The first
+        // (BBB membership) builds E-Learn's signed view; the second
+        // (student status) re-derives only through the delegation chain
+        // pushed in that same exchange, after the view was built — so the
+        // view must have grown with the push.
+        let reg = registry();
+        let mut peers = PeerMap::new();
+        let mut elearn = NegotiationPeer::new("E-Learn", reg.clone());
+        elearn
+            .load_program(
+                r#"resource(X) $ true <- member(X) @ "BBB" @ X, student(X) @ "UIUC" @ X."#,
+            )
+            .unwrap();
+        peers.insert(elearn);
+        let mut alice = NegotiationPeer::new("Alice", reg);
+        alice
+            .load_program(
+                r#"
+                member("Alice") @ "BBB" signedBy ["BBB"].
+                member(X) @ Y $ true <-_true member(X) @ Y.
+                student("Alice") @ "UIUC Registrar" signedBy ["UIUC Registrar"].
+                student(X) @ "UIUC" <- signedBy ["UIUC"] student(X) @ "UIUC Registrar".
+                student(X) @ Y $ true <-_true student(X) @ Y.
+                "#,
+            )
+            .unwrap();
+        peers.insert(alice);
+
+        let (t, _ring) = Telemetry::ring(1 << 12);
+        let mut net = SimNetwork::new(7);
+        let out = negotiate_traced(
+            &mut peers,
+            &mut net,
+            SessionConfig::default(),
+            NegotiationId(1),
+            PeerId::new("Alice"),
+            PeerId::new("E-Learn"),
+            parse_literal(r#"resource("Alice")"#).unwrap(),
+            &t,
+        );
+        assert!(out.success, "refusals: {:?}", out.refusals);
+        assert!(!out
+            .refusals
+            .iter()
+            .any(|r| r.reason == RefusalReason::VerificationFailed));
+        let m = t.metrics().unwrap();
+        assert_eq!(m.counter("negotiation.verify.checks"), 2);
+        assert_eq!(m.counter("negotiation.verify.view_builds"), 1);
+        // The delegation rule reached the view through the push.
+        let elearn = peers.get_mut(PeerId::new("E-Learn")).unwrap();
+        let delegation = parse_literal(r#"student(X) @ "UIUC""#).unwrap();
+        assert!(elearn
+            .signed_view()
+            .candidates(&delegation)
+            .any(|sr| !sr.rule.body.is_empty()));
     }
 
     #[test]

@@ -193,65 +193,69 @@ impl<'de> serde::Deserialize<'de> for Message {
     }
 }
 
+/// Bytes a signature occupies on the wire.
+const SIGNATURE_PAD: &str = "\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0";
+
+/// A [`fmt::Write`] sink that only counts the bytes written to it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
 impl Message {
     /// Wire encoding used for byte-level metrics (experiments report
     /// message *and* byte counts). Signatures count 32 bytes each; logical
     /// content is encoded as its canonical text.
     pub fn encode(&self) -> Bytes {
         let mut buf = String::new();
-        buf.push_str(self.from.name());
-        buf.push('>');
-        buf.push_str(self.to.name());
-        buf.push('|');
+        self.write_wire(&mut buf)
+            .expect("writing to a String cannot fail");
+        Bytes::from(buf)
+    }
+
+    /// Encoded size in bytes: `encode().len()`, counted without building
+    /// the encoding.
+    pub fn encoded_size(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.write_wire(&mut count)
+            .expect("counting bytes cannot fail");
+        count.0
+    }
+
+    /// The one definition of the wire text, written into any sink.
+    fn write_wire(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        write!(w, "{}>{}|", self.from.name(), self.to.name())?;
         match &self.payload {
-            Payload::Query { goal, .. } => {
-                buf.push_str("Q|");
-                buf.push_str(&goal.to_string());
-            }
+            Payload::Query { goal, .. } => write!(w, "Q|{goal}"),
             Payload::Answers { goal, answers, .. } => {
-                buf.push_str("A|");
-                buf.push_str(&goal.to_string());
-                for a in answers {
-                    buf.push(';');
-                    buf.push_str(&a.to_string());
-                }
+                write!(w, "A|{goal}")?;
+                answers.iter().try_for_each(|a| write!(w, ";{a}"))
             }
             Payload::CredentialPush { rules } => {
-                buf.push_str("C|");
+                w.write_str("C|")?;
                 for r in rules {
-                    buf.push_str(&r.rule.to_string());
-                    // Account for the signature bytes.
+                    write!(w, "{}", r.rule)?;
                     for _ in &r.signatures {
-                        buf.push_str(&"\0".repeat(32));
+                        w.write_str(SIGNATURE_PAD)?;
                     }
                 }
+                Ok(())
             }
-            Payload::Failure { goal, reason, .. } => {
-                buf.push_str("F|");
-                buf.push_str(&goal.to_string());
-                buf.push(';');
-                buf.push_str(reason);
-            }
-            Payload::PolicyRequest { policy, .. } => {
-                buf.push_str("PR|");
-                buf.push_str(policy.as_str());
-            }
+            Payload::Failure { goal, reason, .. } => write!(w, "F|{goal};{reason}"),
+            Payload::PolicyRequest { policy, .. } => write!(w, "PR|{}", policy.as_str()),
             Payload::PolicyDisclosure { rules, .. } => {
-                buf.push_str("PD|");
-                for r in rules {
-                    buf.push_str(&r.to_string());
-                    buf.push(';');
-                }
+                w.write_str("PD|")?;
+                rules.iter().try_for_each(|r| write!(w, "{r};"))
             }
             Payload::GemQuery { goal, context, .. } => {
-                buf.push_str("GQ|");
-                buf.push_str(&goal.to_string());
-                for (peer, frame) in context {
-                    buf.push(';');
-                    buf.push_str(peer.name());
-                    buf.push(':');
-                    buf.push_str(&frame.to_string());
-                }
+                write!(w, "GQ|{goal}")?;
+                context
+                    .iter()
+                    .try_for_each(|(peer, frame)| write!(w, ";{}:{frame}", peer.name()))
             }
             Payload::GemAnswers {
                 goal,
@@ -259,28 +263,11 @@ impl Message {
                 answers,
                 ..
             } => {
-                buf.push_str("GA|");
-                buf.push_str(&round.to_string());
-                buf.push('|');
-                buf.push_str(&goal.to_string());
-                for a in answers {
-                    buf.push(';');
-                    buf.push_str(&a.to_string());
-                }
+                write!(w, "GA|{round}|{goal}")?;
+                answers.iter().try_for_each(|a| write!(w, ";{a}"))
             }
-            Payload::GemComplete { goal, rounds } => {
-                buf.push_str("GC|");
-                buf.push_str(&rounds.to_string());
-                buf.push('|');
-                buf.push_str(&goal.to_string());
-            }
+            Payload::GemComplete { goal, rounds } => write!(w, "GC|{rounds}|{goal}"),
         }
-        Bytes::from(buf)
-    }
-
-    /// Encoded size in bytes.
-    pub fn encoded_size(&self) -> usize {
-        self.encode().len()
     }
 }
 
@@ -389,6 +376,89 @@ mod tests {
         })
         .encoded_size();
         assert_eq!(signed_len, unsigned_len + 32);
+    }
+
+    #[test]
+    fn encoded_size_is_the_encoding_length_for_every_payload() {
+        let goal = Literal::new("student", vec![Term::var("X")]).at(Term::str("UIUC"));
+        let cred = peertrust_core::Rule::fact(
+            Literal::new("student", vec![Term::str("Alice")]).at(Term::str("UIUC")),
+        )
+        .signed_by("UIUC");
+        let delegation = peertrust_core::Rule::horn(
+            Literal::new("student", vec![Term::var("X")]).at(Term::str("UIUC")),
+            vec![Literal::new("enrolled", vec![Term::var("X")]).at(Term::str("Registrar"))],
+        )
+        .signed_by("UIUC");
+        let answers = vec![
+            Literal::new("student", vec![Term::str("Alice")]),
+            Literal::new("student", vec![Term::str("Bob")]),
+        ];
+        let payloads = vec![
+            Payload::Query {
+                id: QueryId(1),
+                goal: goal.clone(),
+            },
+            Payload::Answers {
+                id: QueryId(1),
+                goal: goal.clone(),
+                answers: vec![],
+            },
+            Payload::Answers {
+                id: QueryId(1),
+                goal: goal.clone(),
+                answers: answers.clone(),
+            },
+            Payload::CredentialPush { rules: vec![] },
+            Payload::CredentialPush {
+                rules: vec![
+                    SignedRule {
+                        rule: cred.clone(),
+                        signatures: vec![[1u8; 32]],
+                    },
+                    SignedRule {
+                        rule: delegation.clone(),
+                        signatures: vec![[2u8; 32], [3u8; 32]],
+                    },
+                    SignedRule {
+                        rule: cred.clone(),
+                        signatures: vec![],
+                    },
+                ],
+            },
+            Payload::Failure {
+                id: QueryId(2),
+                goal: goal.clone(),
+                reason: "effort policy: dénié".into(),
+            },
+            Payload::PolicyRequest {
+                id: QueryId(3),
+                policy: Sym::new("discountPolicy"),
+            },
+            Payload::PolicyDisclosure {
+                id: QueryId(3),
+                rules: vec![cred, delegation],
+            },
+            Payload::GemQuery {
+                id: QueryId(4),
+                goal: goal.clone(),
+                context: vec![
+                    (PeerId::new("A"), goal.clone()),
+                    (PeerId::new("B"), answers[0].clone()),
+                ],
+            },
+            Payload::GemAnswers {
+                id: QueryId(4),
+                goal: goal.clone(),
+                round: 12,
+                answers,
+            },
+            Payload::GemComplete { goal, rounds: 3 },
+        ];
+        for payload in payloads {
+            let m = msg(payload);
+            assert_eq!(m.encoded_size(), m.encode().len(), "{}", m.payload.kind());
+        }
     }
 
     #[test]

@@ -303,8 +303,9 @@ impl SimNetwork {
             trace,
         };
 
+        let bytes = msg.encoded_size() as u64;
         self.stats.messages_sent += 1;
-        self.stats.bytes_sent += msg.encoded_size() as u64;
+        self.stats.bytes_sent += bytes;
         *self.stats.per_peer_sent.entry(from).or_default() += 1;
         match &msg.payload {
             Payload::Query { .. } => self.stats.queries += 1,
@@ -394,7 +395,6 @@ impl SimNetwork {
         }
 
         if self.telemetry.enabled() {
-            let bytes = msg.encoded_size() as u64;
             self.telemetry.incr("net.messages", 1);
             self.telemetry.incr("net.bytes", bytes);
             self.telemetry.incr(&format!("net.sent.{from}"), 1);
