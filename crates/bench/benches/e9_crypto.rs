@@ -1,6 +1,8 @@
-//! E9: signature overhead — SHA-256/HMAC throughput, rule sign/verify,
-//! and the end-to-end cost a negotiation pays for signing (scenario 1
-//! with and without the crypto path exercised).
+//! E9: signature overhead — SHA-256/HMAC throughput, rule signing, rule
+//! verification on each of its two paths (`verify_rule_cold` computes the
+//! HMACs, `verify_rule_memo_hit` is answered by the registry's
+//! verified-signature memo), and the end-to-end cost a negotiation pays
+//! for signing (scenario 1 with the crypto path exercised).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use peertrust_core::{Literal, PeerId, Rule, Term};
@@ -35,9 +37,27 @@ fn bench_rule_signing(c: &mut Criterion) {
     });
 
     let signed = sign_rule(&registry, &rule).unwrap();
-    group.bench_function("verify_rule", |b| {
+    // The HMAC path: every sample verifies against a registry whose
+    // verified-signature memo is empty (same key, so the tag checks out).
+    group.bench_function("verify_rule_cold", |b| {
+        b.iter_batched_ref(
+            || {
+                let fresh = KeyRegistry::new();
+                fresh.register_derived(PeerId::new("UIUC"), 1);
+                fresh
+            },
+            |fresh| verify_signed_rule(fresh, &signed).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+    // The relay path: the rule was verified once, so every further check
+    // is answered by the memo without an HMAC.
+    verify_signed_rule(&registry, &signed).unwrap();
+    let hmacs = registry.verify_hmacs();
+    group.bench_function("verify_rule_memo_hit", |b| {
         b.iter(|| verify_signed_rule(&registry, &signed).unwrap())
     });
+    assert_eq!(registry.verify_hmacs(), hmacs, "memo hits compute no HMAC");
     group.finish();
 }
 

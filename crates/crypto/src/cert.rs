@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn tampered_credential_fails_before_crl() {
         let (reg, mut cred) = setup();
-        cred.signed.rule.head.args[0] = Term::str("Mallory Corp");
+        std::sync::Arc::make_mut(&mut cred.signed.rule).head.args[0] = Term::str("Mallory Corp");
         let crl = RevocationList::new();
         assert!(matches!(
             crl.check(&reg, &cred, 5),

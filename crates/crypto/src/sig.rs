@@ -12,17 +12,54 @@
 //! The canonical byte encoding of a rule is its pretty-printed text — the
 //! printer is deterministic, and the parser/printer round-trip tests in
 //! `peertrust-parser` guarantee injectivity for the language's rule shapes.
+//!
+//! Verification is memoized in the [`KeyRegistry`]: the memo keys on the
+//! context-free rule (head, body and `signedBy` list) together with the
+//! full signature list, and a hit needs both to be equal to an entry whose
+//! HMACs were checked. Canonical bytes are a pure function of the
+//! context-free rule, so an equal rule and equal tags under unchanged keys
+//! would verify again; `KeyRegistry::register` empties the memo, so a
+//! re-keyed issuer's old tags are checked, and rejected, afresh. The
+//! module docs of [`crate::keys`] give the full argument.
+//!
+//! [`SignedRule::rule`] is an `Arc<Rule>`: minting, the holder's knowledge
+//! base, every push, the wire payload, the recipient's knowledge base and
+//! the disclosure record share one allocation. Serialization encodes the
+//! pointee, so the JSON form is that of a plain `Rule`.
 
 use crate::keys::{KeyError, KeyRegistry};
 use crate::sha256::Digest;
 use peertrust_core::{PeerId, Rule};
+use std::sync::Arc;
 
 /// A rule plus the signatures (one per entry of `rule.signed_by`, same
 /// order) that make it a transferable credential.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SignedRule {
-    pub rule: Rule,
+    pub rule: Arc<Rule>,
     pub signatures: Vec<Digest>,
+}
+
+impl SignedRule {
+    /// The form that crosses the wire by default: contexts stripped
+    /// (paper §3.1), signatures unchanged. Shares this rule's allocation
+    /// when it carries no contexts.
+    pub fn wire_form(&self) -> SignedRule {
+        SignedRule {
+            rule: context_free(&self.rule),
+            signatures: self.signatures.clone(),
+        }
+    }
+}
+
+/// `rule` without contexts: the same `Arc` when it has none, otherwise a
+/// stripped copy.
+fn context_free(rule: &Arc<Rule>) -> Arc<Rule> {
+    if rule.head_context.is_none() && rule.rule_context.is_none() {
+        Arc::clone(rule)
+    } else {
+        Arc::new(rule.strip_contexts())
+    }
 }
 
 /// Errors when producing or checking signed rules.
@@ -78,31 +115,40 @@ pub fn sign_rule(registry: &KeyRegistry, rule: &Rule) -> Result<SignedRule, SigE
         .map(|issuer| registry.sign(issuer, &msg))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(SignedRule {
-        rule: rule.clone(),
+        rule: Arc::new(rule.clone()),
         signatures,
     })
 }
 
 /// Verify every signature on a received rule. Returns the issuer list on
 /// success so callers can record provenance.
+///
+/// A rule found in the registry's verified-signature memo costs no HMAC;
+/// any other rule has every tag checked and, if all verify, is recorded
+/// in the memo for the next check.
 pub fn verify_signed_rule(
     registry: &KeyRegistry,
     signed: &SignedRule,
 ) -> Result<Vec<PeerId>, SigError> {
-    let issuers = signed.rule.issuers();
-    if issuers.is_empty() {
+    let rule = &signed.rule;
+    if rule.signed_by.is_empty() {
         return Err(SigError::NotASignedRule);
     }
-    if issuers.len() != signed.signatures.len() {
+    if rule.signed_by.len() != signed.signatures.len() {
         return Err(SigError::SignatureCountMismatch {
-            expected: issuers.len(),
+            expected: rule.signed_by.len(),
             actual: signed.signatures.len(),
         });
     }
-    let msg = canonical_bytes(&signed.rule);
+    let issuers = rule.issuers();
+    let Err(miss) = registry.memo_probe(rule, &signed.signatures) else {
+        return Ok(issuers);
+    };
+    let msg = canonical_bytes(rule);
     for (issuer, tag) in issuers.iter().zip(&signed.signatures) {
         registry.verify(*issuer, &msg, tag)?;
     }
+    registry.memo_insert(miss, context_free(rule), &signed.signatures);
     Ok(issuers)
 }
 
@@ -146,7 +192,7 @@ mod tests {
         let reg = registry();
         let mut signed = sign_rule(&reg, &student_cred()).unwrap();
         // Mallory swaps the subject.
-        signed.rule.head.args[0] = Term::str("Mallory");
+        Arc::make_mut(&mut signed.rule).head.args[0] = Term::str("Mallory");
         assert!(matches!(
             verify_signed_rule(&reg, &signed).unwrap_err(),
             SigError::Key(KeyError::BadSignature(_))
@@ -162,7 +208,7 @@ mod tests {
                 .signed_by("UIUC");
         // She cannot produce UIUC's tag, so she attaches garbage.
         let forged = SignedRule {
-            rule: mallory_rule,
+            rule: Arc::new(mallory_rule),
             signatures: vec![[7u8; 32]],
         };
         assert!(verify_signed_rule(&reg, &forged).is_err());
@@ -206,7 +252,7 @@ mod tests {
         let reg = registry();
         let signed = sign_rule(&reg, &student_cred()).unwrap();
         let mut with_ctx = signed.clone();
-        with_ctx.rule.head_context = Some(Context::public());
+        Arc::make_mut(&mut with_ctx.rule).head_context = Some(Context::public());
         assert!(verify_signed_rule(&reg, &with_ctx).is_ok());
     }
 

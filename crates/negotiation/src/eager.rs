@@ -18,12 +18,17 @@
 //! [`crate::session::negotiate`] on the same policy graphs: eager needs
 //! fewer rounds but discloses more credentials and bytes.
 
+use crate::ledger::ReceivedLedger;
 use crate::outcome::{DisclosedItem, Disclosure, Evidence, NegotiationOutcome};
 use crate::peer::NegotiationPeer;
 use crate::session::{classify_evidence, PeerMap};
-use peertrust_core::{Context, KnowledgeBase, Literal, PeerId, Rule, RuleId, Subst};
+use peertrust_core::{
+    Context, FxHashMap, FxHashSet, KnowledgeBase, Literal, PeerId, Rule, RuleId, Subst,
+};
+use peertrust_crypto::SignedRule;
 use peertrust_engine::{EngineConfig, Solver};
 use peertrust_net::{NegotiationId, Payload, SimNetwork};
+use std::sync::Arc;
 
 /// Eager driver configuration.
 #[derive(Clone, Copy, Debug)]
@@ -60,10 +65,9 @@ pub fn negotiate_eager(
 
     let mut disclosures: Vec<Disclosure> = Vec::new();
     // (owner, rule) pairs already sent, to avoid re-disclosure.
-    let mut sent: Vec<(PeerId, Rule)> = Vec::new();
-    // What each principal received this negotiation: (rule, sender).
-    let mut ledgers: std::collections::HashMap<PeerId, Vec<(Rule, PeerId)>> =
-        std::collections::HashMap::new();
+    let mut sent: FxHashSet<(PeerId, Arc<Rule>)> = FxHashSet::default();
+    // What each principal received this negotiation.
+    let mut ledgers: FxHashMap<PeerId, ReceivedLedger> = FxHashMap::default();
     let mut rename_seq: u32 = 0;
 
     let mut success_answers: Vec<Literal> = Vec::new();
@@ -80,20 +84,14 @@ pub fn negotiate_eager(
                 discloser,
                 recipient,
                 &sent,
-                ledgers.get(&discloser).map(Vec::as_slice),
+                ledgers.get(&discloser),
                 &mut rename_seq,
             );
             if newly.is_empty() {
                 continue;
             }
             // Contexts stripped on the wire (paper §3.1).
-            let rules: Vec<_> = newly
-                .iter()
-                .map(|(sr, _, _)| peertrust_crypto::SignedRule {
-                    rule: sr.rule.strip_contexts(),
-                    signatures: sr.signatures.clone(),
-                })
-                .collect();
+            let wire: Vec<SignedRule> = newly.iter().map(|(sr, _, _)| sr.wire_form()).collect();
             // The transport is authoritative: if the push cannot be routed
             // (partition), nothing was disclosed this turn.
             if net
@@ -101,7 +99,9 @@ pub fn negotiate_eager(
                     nid,
                     discloser,
                     recipient,
-                    Payload::CredentialPush { rules },
+                    Payload::CredentialPush {
+                        rules: wire.clone(),
+                    },
                     0,
                 )
                 .is_err()
@@ -112,13 +112,8 @@ pub fn negotiate_eager(
             net.step();
             let _ = net.poll(recipient);
 
-            for (sr, ctx, ev) in newly {
-                sent.push((discloser, sr.rule.clone()));
-                // The wire form is context-stripped (paper §3.1).
-                let wire = peertrust_crypto::SignedRule {
-                    rule: sr.rule.strip_contexts(),
-                    signatures: sr.signatures.clone(),
-                };
+            for ((sr, ctx, ev), wire) in newly.into_iter().zip(wire) {
+                sent.insert((discloser, sr.rule));
                 let accepted = peers
                     .get_mut(recipient)
                     .expect("recipient exists")
@@ -127,10 +122,7 @@ pub fn negotiate_eager(
                     ledgers
                         .entry(recipient)
                         .or_default()
-                        .push((wire.rule.clone(), discloser));
-                    if let Some(ext) = crate::peer::sender_extended(&wire.rule, discloser) {
-                        ledgers.entry(recipient).or_default().push((ext, discloser));
-                    }
+                        .record(&wire, discloser);
                     let seq = disclosures.len();
                     disclosures.push(Disclosure {
                         seq,
@@ -151,7 +143,7 @@ pub fn negotiate_eager(
             responder,
             requester,
             &goal,
-            ledgers.get(&responder).map(Vec::as_slice),
+            ledgers.get(&responder),
             &mut rename_seq,
         ) {
             success_answers = answers;
@@ -198,16 +190,16 @@ fn releasable_credentials(
     peers: &PeerMap,
     owner: PeerId,
     recipient: PeerId,
-    sent: &[(PeerId, Rule)],
-    ledger: Option<&[(Rule, PeerId)]>,
+    sent: &FxHashSet<(PeerId, Arc<Rule>)>,
+    ledger: Option<&ReceivedLedger>,
     rename_seq: &mut u32,
-) -> Vec<(peertrust_crypto::SignedRule, Context, Vec<Evidence>)> {
+) -> Vec<(SignedRule, Context, Vec<Evidence>)> {
     let Some(peer) = peers.get(owner) else {
         return Vec::new();
     };
-    let mut out: Vec<(peertrust_crypto::SignedRule, Context, Vec<Evidence>)> = Vec::new();
+    let mut out: Vec<(SignedRule, Context, Vec<Evidence>)> = Vec::new();
     for (_id, sr) in peer.disclosable_signed_rules() {
-        if sent.iter().any(|(p, r)| *p == owner && *r == sr.rule) {
+        if sent.contains(&(owner, Arc::clone(&sr.rule))) {
             continue;
         }
         // A credential registered under several rule ids (re-minted, or
@@ -234,7 +226,7 @@ fn grantable_locally(
     responder: PeerId,
     requester: PeerId,
     goal: &Literal,
-    ledger: Option<&[(Rule, PeerId)]>,
+    ledger: Option<&ReceivedLedger>,
     rename_seq: &mut u32,
 ) -> Option<(Vec<Literal>, Context, Vec<Evidence>)> {
     let peer = peers.get(responder)?;
@@ -276,16 +268,16 @@ fn license_locally(
     recipient: PeerId,
     answer: &Literal,
     kb: &KnowledgeBase,
-    ledger: Option<&[(Rule, PeerId)]>,
+    ledger: Option<&ReceivedLedger>,
     rename_seq: &mut u32,
 ) -> Option<(Context, Vec<Evidence>)> {
     if recipient == peer.id {
         return Some((Context::public(), Vec::new()));
     }
     let engine = local_config(peer.config.engine);
-    let candidates: Vec<(RuleId, Rule)> = kb
+    let candidates: Vec<(RuleId, Arc<Rule>)> = kb
         .candidates(answer)
-        .map(|sr| (sr.id, sr.rule.as_ref().clone()))
+        .map(|sr| (sr.id, Arc::clone(&sr.rule)))
         .collect();
     // §3.2 self-closure: a chainless answer also matches licensing rules
     // written with the owner's explicit authority.

@@ -55,6 +55,7 @@ pub mod audit;
 pub mod eager;
 pub mod failure;
 pub mod gem;
+mod ledger;
 pub mod outcome;
 pub mod peer;
 pub mod resilience;

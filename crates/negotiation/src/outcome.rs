@@ -11,6 +11,7 @@
 
 use peertrust_core::{Context, Literal, PeerId, Rule};
 use peertrust_crypto::SignedRule;
+use std::sync::Arc;
 
 /// What was disclosed in one step.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -36,13 +37,14 @@ impl DisclosedItem {
     }
 }
 
-/// Evidence that justified a disclosure's release policy.
+/// Evidence that justified a disclosure's release policy. Rules are
+/// shared with the knowledge base that holds them, not copied.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Evidence {
     /// A rule the discloser already held before the negotiation began.
-    Initial(Rule),
+    Initial(Arc<Rule>),
     /// A signed rule received from `from` during the negotiation.
-    ReceivedRule { from: PeerId, rule: Rule },
+    ReceivedRule { from: PeerId, rule: Arc<Rule> },
     /// A query answer received from `from` during the negotiation.
     ReceivedAnswer { from: PeerId, answer: Literal },
 }
@@ -190,12 +192,12 @@ pub fn verify_safe_sequence(outcome: &NegotiationOutcome) -> Result<(), Vec<Safe
                             && e.from == *from
                             && matches!(&e.item, DisclosedItem::SignedRule(sr)
                                         if sr.rule == *rule
-                                           || sr.rule == rule.strip_contexts()
+                                           || *sr.rule == rule.strip_contexts()
                                            // The sender-extended fact `head @ from`
                                            // recorded when a credential is received
                                            // is justified by the credential push.
                                            || crate::peer::sender_extended(&sr.rule, e.from)
-                                                  .is_some_and(|ext| ext == *rule))
+                                                  .is_some_and(|ext| ext == **rule))
                     });
                     if !available {
                         violations.push(SafetyViolation {
@@ -255,7 +257,7 @@ mod tests {
 
     fn cred(pred: &str, arg: &str, issuer: &str) -> SignedRule {
         SignedRule {
-            rule: Rule::fact(Literal::new(pred, vec![Term::str(arg)])).signed_by(issuer),
+            rule: Arc::new(Rule::fact(Literal::new(pred, vec![Term::str(arg)])).signed_by(issuer)),
             signatures: vec![[0u8; 32]],
         }
     }
@@ -451,7 +453,7 @@ mod audit_tests {
                 to: PeerId::new("Alice"),
                 item: DisclosedItem::Resource(Literal::new("resource", vec![Term::str("Alice")])),
                 context: Context::public(),
-                evidence: vec![Evidence::Initial(Rule::fact(Literal::truth()))],
+                evidence: vec![Evidence::Initial(Arc::new(Rule::fact(Literal::truth())))],
             }],
             refusals: vec![Refusal {
                 peer: PeerId::new("Alice"),

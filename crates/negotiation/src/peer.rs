@@ -248,11 +248,12 @@ impl NegotiationPeer {
     /// signature. This is scenario setup's stand-in for "the issuer handed
     /// the holder this credential".
     pub fn mint(&mut self, rule: Rule) -> Result<RuleId, PeerError> {
+        // `sign_rule` stores a compact clone: the parsed rule, with its
+        // parser vectors' spare capacity, is dropped here. The KB, the
+        // signed map and every later push share that one allocation.
         let signed = sign_rule(&self.registry, &rule)?;
-        let ext = issuer_extended(&rule);
-        // Store a compact copy: a freshly parsed rule keeps its parser
-        // vectors' spare capacity for as long as the KB holds it.
-        let id = self.add_signed(Arc::new(rule.clone()), RuleOrigin::Local, signed.clone());
+        let ext = issuer_extended(&signed.rule);
+        let id = self.add_signed(Arc::clone(&signed.rule), RuleOrigin::Local, signed.clone());
         // §3.2 axiom: a signed fact also derives its `@ issuer` form. The
         // extension maps back to the same signature bundle, so pushing or
         // verifying either form ships the real credential.
@@ -309,21 +310,14 @@ impl NegotiationPeer {
         // arrives is normalized to its context-free form, which then falls
         // under the receiving peer's own (default-private) policies. In
         // sticky mode the head context survives and travels with the rule.
-        let signed = if sticky {
-            signed
-        } else {
-            SignedRule {
-                rule: signed.rule.strip_contexts(),
-                signatures: signed.signatures,
-            }
-        };
+        let signed = if sticky { signed } else { signed.wire_form() };
         if self.kb.contains(&signed.rule) {
             return Ok(false);
         }
         let origin = RuleOrigin::Received(from);
         let sender_ext = sender_extended(&signed.rule, from);
         let issuer_ext = issuer_extended(&signed.rule);
-        self.add_signed(Arc::new(signed.rule.clone()), origin, signed.clone());
+        self.add_signed(Arc::clone(&signed.rule), origin, signed.clone());
         if let Some(extended) = sender_ext {
             self.kb.add_received_dedup(extended, from);
         }
@@ -341,15 +335,6 @@ impl NegotiationPeer {
         self.signed_overlay
             .get(&id)
             .or_else(|| self.signed_base.get(&id))
-    }
-
-    /// Look up the signature bundle by rule content (used when relaying
-    /// rules recorded in a session ledger).
-    pub fn signed_rule_for(&self, rule: &Rule) -> Option<&SignedRule> {
-        self.signed_base
-            .values()
-            .chain(self.signed_overlay.values())
-            .find(|sr| sr.rule == *rule)
     }
 
     /// All signed rules this peer could potentially disclose.
@@ -471,7 +456,7 @@ mod tests {
 
         // Tampered rule is rejected.
         let mut bad = signed;
-        bad.rule.head.args[0] = Term::str("Mallory");
+        Arc::make_mut(&mut bad.rule).head.args[0] = Term::str("Mallory");
         assert!(elearn.receive_signed(bad, PeerId::new("Alice")).is_err());
     }
 
@@ -570,7 +555,7 @@ mod tests {
                     }
                     3 => {
                         let mut bad = pushable(k);
-                        bad.rule.head.args[0] = Term::str("Mallory");
+                        Arc::make_mut(&mut bad.rule).head.args[0] = Term::str("Mallory");
                         proptest::prop_assert!(peer.receive_signed(bad, PeerId::new("Bob")).is_err());
                     }
                     4 => peer.freeze(),
@@ -605,7 +590,7 @@ mod tests {
         assert_eq!(elearn.signed_view().len(), 0);
         let good = pushable(0);
         let mut bad = good.clone();
-        bad.rule.head.args[0] = Term::str("Mallory");
+        Arc::make_mut(&mut bad.rule).head.args[0] = Term::str("Mallory");
         assert!(elearn
             .receive_signed(bad.clone(), PeerId::new("Bob"))
             .is_err());

@@ -25,10 +25,11 @@
 
 use crate::answer_cache::{CacheKey, SharedRemoteAnswerCache};
 use crate::gem::{GemEdge, GemState};
+use crate::ledger::ReceivedLedger;
 use crate::outcome::{
     DisclosedItem, Disclosure, Evidence, NegotiationOutcome, Refusal, RefusalReason,
 };
-use crate::peer::NegotiationPeer;
+use crate::peer::{NegotiationPeer, PeerError};
 use crate::resilience::{ResilienceConfig, ResilienceFailure, ResilienceReport, ResilienceState};
 use peertrust_core::{Context, KnowledgeBase, Literal, PeerId, Subst};
 use peertrust_crypto::SignedRule;
@@ -38,6 +39,7 @@ use peertrust_net::{
 };
 use peertrust_telemetry::{Field, Telemetry, Tick};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The collection of peers participating in negotiations.
 #[derive(Clone, Default)]
@@ -428,8 +430,8 @@ pub(crate) struct Session<'a> {
     max_depth_seen: u32,
     /// Fresh-variable counter for standardize-apart in licensing scans.
     rename_seq: u32,
-    /// Rules each peer received during this session (rule, sender).
-    received_rules: HashMap<PeerId, Vec<(peertrust_core::Rule, PeerId)>>,
+    /// Signed rules each peer was pushed during this session.
+    received_rules: HashMap<PeerId, ReceivedLedger>,
     /// Answers each peer received during this session (answer, sender).
     received_answers: HashMap<PeerId, Vec<(Literal, PeerId)>>,
     /// Per-session remote-answer memo: accepted answers keyed by
@@ -667,11 +669,7 @@ impl<'a> Session<'a> {
                         })
                         .collect();
                     for (sr, sender) in replay {
-                        let _ = self
-                            .peers
-                            .get_mut(peer)
-                            .expect("peer exists")
-                            .receive_signed_mode(sr, sender, sticky);
+                        let _ = self.receive_push(peer, sr, sender, sticky);
                     }
                 }
             }
@@ -1009,28 +1007,16 @@ impl<'a> Session<'a> {
 
         // Ship credential pushes (before the answers that depend on them).
         if !pushes.is_empty() {
-            // Contexts stripped on the wire (paper §3.1) — unless sticky
-            // policies are on, in which case the *licensing* context (the
-            // release policy under which this disclosure was granted, with
-            // Requester still symbolic) travels with the rule. Signatures
-            // are unaffected: they cover the context-free canonical form.
+            // Each rule's wire form is built once: it is both the payload
+            // and what the recipient stores, ledgers and is credited with.
             let sticky = self.cfg.sticky_policies;
-            let rules: Vec<SignedRule> = pushes
+            let wire: Vec<SignedRule> = pushes
                 .iter()
-                .map(|(sr, _, _, raw)| SignedRule {
-                    rule: if sticky {
-                        let mut r = sr.rule.clone();
-                        if r.head_context.is_none() {
-                            r.head_context = Some(raw.clone());
-                        }
-                        r
-                    } else {
-                        sr.rule.strip_contexts()
-                    },
-                    signatures: sr.signatures.clone(),
-                })
+                .map(|(sr, _, _, raw)| push_wire_form(sr, raw, sticky))
                 .collect();
-            let push_payload = Payload::CredentialPush { rules };
+            let push_payload = Payload::CredentialPush {
+                rules: wire.clone(),
+            };
             let push_trace = self.trace_msg();
             let delivered = match self.net.send_traced(
                 self.nid,
@@ -1053,48 +1039,29 @@ impl<'a> Session<'a> {
             };
             // The transport is authoritative: a rejected push (partition,
             // hop budget) means the recipient learns nothing.
-            for (sr, ctx, ev, raw) in pushes.into_iter().filter(|_| delivered) {
-                // What actually crossed the wire: the context-stripped
-                // form (paper §3.1). `Ok(false)` from receive_signed means
-                // the recipient already held the rule — the wire transfer
-                // still happened, and the ledger must record it so the
-                // recipient can later relay it (delegation chains).
-                let sticky = self.cfg.sticky_policies;
-                let wire = SignedRule {
-                    rule: if sticky {
-                        let mut r = sr.rule.clone();
-                        if r.head_context.is_none() {
-                            r.head_context = Some(raw.clone());
-                        }
-                        r
-                    } else {
-                        sr.rule.strip_contexts()
-                    },
-                    signatures: sr.signatures.clone(),
-                };
-                let accepted = self
-                    .peers
-                    .get_mut(from)
-                    .expect("requester exists")
-                    .receive_signed_mode(wire.clone(), to, sticky);
-                // On a bad signature the recipient simply drops the rule.
-                if accepted.is_ok() {
-                    let ledger = self.received_rules.entry(from).or_default();
-                    if !ledger.iter().any(|(r, s)| *r == wire.rule && *s == to) {
-                        ledger.push((wire.rule.clone(), to));
-                        if let Some(ext) = crate::peer::sender_extended(&wire.rule, to) {
-                            self.received_rules.entry(from).or_default().push((ext, to));
-                        }
-                        let seq = self.disclosures.len();
-                        self.record_disclosure(Disclosure {
-                            seq,
-                            from: to,
-                            to: from,
-                            item: DisclosedItem::SignedRule(wire),
-                            context: ctx,
-                            evidence: ev,
-                        });
-                    }
+            let pushed = pushes.into_iter().zip(wire).filter(|_| delivered);
+            for ((_, ctx, ev, _), wire) in pushed {
+                // `Ok(false)` from the receive means the recipient already
+                // held the rule — the wire transfer still happened, and the
+                // ledger must record it so the recipient can later relay it
+                // (delegation chains). On a bad signature the recipient
+                // simply drops the rule.
+                if self.receive_push(from, wire.clone(), to, sticky).is_ok()
+                    && self
+                        .received_rules
+                        .entry(from)
+                        .or_default()
+                        .record(&wire, to)
+                {
+                    let seq = self.disclosures.len();
+                    self.record_disclosure(Disclosure {
+                        seq,
+                        from: to,
+                        to: from,
+                        item: DisclosedItem::SignedRule(wire),
+                        context: ctx,
+                        evidence: ev,
+                    });
                 }
             }
         }
@@ -1563,27 +1530,20 @@ impl<'a> Session<'a> {
                             if p == requester {
                                 continue;
                             }
-                            let relayable: Vec<peertrust_core::Rule> = self
-                                .received_rules
-                                .get(&responder)
-                                .map(|l| {
-                                    l.iter()
-                                        .filter(|(r, sender)| *sender == p && r.is_signed())
-                                        .map(|(r, _)| r.clone())
-                                        .collect()
-                                })
-                                .unwrap_or_default();
+                            let Some(ledger) = self.received_rules.get(&responder) else {
+                                continue;
+                            };
                             let sticky = self.cfg.sticky_policies;
                             let peer = self.peers.get(responder).expect("responder exists");
-                            for rule in relayable {
-                                if pushes.iter().any(|(pr, _, _, _)| pr.rule == rule) {
+                            for sr in ledger.pushed_by(p) {
+                                if pushes.iter().any(|(pr, _, _, _)| pr.rule == sr.rule) {
                                     continue;
                                 }
                                 // Sticky policies: the originator's retained
                                 // head context must hold for the NEW
                                 // recipient before this peer may relay.
                                 if sticky {
-                                    if let Some(ctx) = &rule.head_context {
+                                    if let Some(ctx) = &sr.rule.head_context {
                                         if ctx.is_default_private() {
                                             continue;
                                         }
@@ -1601,21 +1561,19 @@ impl<'a> Session<'a> {
                                         }
                                     }
                                 }
-                                if let Some(sr) = peer.signed_rule_for(&rule) {
-                                    // Relays keep whatever context the rule
-                                    // arrived with (retained in sticky mode).
-                                    let raw =
-                                        rule.head_context.clone().unwrap_or_else(Context::public);
-                                    pushes.push((
-                                        sr.clone(),
-                                        Context::public(),
-                                        vec![Evidence::ReceivedRule {
-                                            from: p,
-                                            rule: rule.clone(),
-                                        }],
-                                        raw,
-                                    ));
-                                }
+                                // Relays keep whatever context the rule
+                                // arrived with (retained in sticky mode).
+                                let raw =
+                                    sr.rule.head_context.clone().unwrap_or_else(Context::public);
+                                pushes.push((
+                                    sr.clone(),
+                                    Context::public(),
+                                    vec![Evidence::ReceivedRule {
+                                        from: p,
+                                        rule: Arc::clone(&sr.rule),
+                                    }],
+                                    raw,
+                                ));
                             }
                         }
                     }
@@ -1816,11 +1774,52 @@ impl<'a> Session<'a> {
     /// evidence entries.
     fn collect_evidence(&self, owner: PeerId, proofs: &[Proof]) -> Vec<Evidence> {
         let peer = self.peers.get(owner).expect("owner exists");
-        classify_evidence(
-            peer,
-            self.received_rules.get(&owner).map(Vec::as_slice),
-            proofs,
-        )
+        classify_evidence(peer, self.received_rules.get(&owner), proofs)
+    }
+
+    /// Deliver one pushed signed rule to `recipient`: verify, then store
+    /// it ([`NegotiationPeer::receive_signed_mode`]). With telemetry on,
+    /// counts the signature check. Whether the registry's memo decided it
+    /// is left out: that depends on what earlier negotiations in the
+    /// process checked, and counters must repeat exactly across re-runs
+    /// and worker counts ([`peertrust_crypto::KeyRegistry::verify_hmacs`]
+    /// counts the checks the memo did not answer).
+    fn receive_push(
+        &mut self,
+        recipient: PeerId,
+        signed: SignedRule,
+        sender: PeerId,
+        sticky: bool,
+    ) -> Result<bool, PeerError> {
+        if self.telemetry.enabled() {
+            self.telemetry.incr("negotiation.crypto.verifies", 1);
+        }
+        self.peers
+            .get_mut(recipient)
+            .expect("recipient exists")
+            .receive_signed_mode(signed, sender, sticky)
+    }
+}
+
+/// The form of a pushed rule that crosses the wire. By default contexts
+/// are stripped (paper §3.1), sharing the rule's allocation when it has
+/// none. Under sticky policies the rule keeps its contexts, and one
+/// without a head context carries `raw`, the *licensing* context (the
+/// release policy that granted this disclosure, with `Requester` still
+/// symbolic). Signatures are unaffected either way: they cover the
+/// context-free canonical form.
+fn push_wire_form(sr: &SignedRule, raw: &Context, sticky: bool) -> SignedRule {
+    if !sticky {
+        return sr.wire_form();
+    }
+    if sr.rule.head_context.is_some() {
+        return sr.clone();
+    }
+    let mut rule = sr.rule.as_ref().clone();
+    rule.head_context = Some(raw.clone());
+    SignedRule {
+        rule: Arc::new(rule),
+        signatures: sr.signatures.clone(),
     }
 }
 
@@ -1831,19 +1830,16 @@ impl<'a> Session<'a> {
 /// parsimonious and eager drivers.
 pub(crate) fn classify_evidence(
     peer: &NegotiationPeer,
-    ledger: Option<&[(peertrust_core::Rule, PeerId)]>,
+    ledger: Option<&ReceivedLedger>,
     proofs: &[Proof],
 ) -> Vec<Evidence> {
     let mut evidence = Vec::new();
     for proof in proofs {
         for rid in proof.used_rules() {
             if let Some(sr) = peer.kb.get(rid) {
-                let rule = sr.rule.as_ref().clone();
-                let session_received = ledger
-                    .map(|l| l.iter().find(|(r, _)| *r == rule))
-                    .unwrap_or(None);
-                let ev = match session_received {
-                    Some((_, from)) => Evidence::ReceivedRule { from: *from, rule },
+                let rule = Arc::clone(&sr.rule);
+                let ev = match ledger.and_then(|l| l.first_sender(&rule)) {
+                    Some(from) => Evidence::ReceivedRule { from, rule },
                     None => Evidence::Initial(rule),
                 };
                 if !evidence.contains(&ev) {

@@ -19,11 +19,12 @@
 use crate::eager::grantable_locally_for_host;
 use crate::outcome::{DisclosedItem, Disclosure};
 use crate::peer::NegotiationPeer;
-use peertrust_core::{Context, Literal, PeerId};
+use peertrust_core::{Context, FxHashSet, Literal, PeerId, Rule};
 use peertrust_crypto::SignedRule;
 use peertrust_net::{
     channel_network, Endpoint, Message, MessageId, NegotiationId, Payload, QueryId, TraceContext,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Causal coordinates for threaded-host message `n`: every frame belongs
@@ -147,11 +148,12 @@ fn push_message(from: PeerId, to: PeerId, n: u64, rules: Vec<SignedRule>) -> Mes
     }
 }
 
-/// Compute the releasable-and-unsent credentials of `peer` for `other`.
+/// Compute the releasable-and-unsent credentials of `peer` for `other`,
+/// in their wire form (contexts stripped, paper §3.1).
 fn new_disclosures(
     peer: &NegotiationPeer,
     other: PeerId,
-    sent: &mut Vec<peertrust_core::Rule>,
+    sent: &mut FxHashSet<Arc<Rule>>,
 ) -> Vec<SignedRule> {
     let mut out = Vec::new();
     let mut rename = 0u32;
@@ -161,8 +163,8 @@ fn new_disclosures(
         }
         if crate::eager::license_locally_for_host(peer, other, &sr.rule.head, &mut rename).is_some()
         {
-            sent.push(sr.rule.clone());
-            out.push(sr.clone());
+            sent.insert(Arc::clone(&sr.rule));
+            out.push(sr.wire_form());
         }
     }
     out
@@ -176,7 +178,7 @@ fn requester_loop(
     cfg: ThreadedConfig,
 ) -> (Vec<Literal>, Vec<Disclosure>, bool) {
     let me = peer.id;
-    let mut sent: Vec<peertrust_core::Rule> = Vec::new();
+    let mut sent = FxHashSet::default();
     let mut disclosures = Vec::new();
     let mut msg_n = 0u64;
 
@@ -231,7 +233,7 @@ fn responder_loop(
     cfg: ThreadedConfig,
 ) -> Vec<Disclosure> {
     let me = peer.id;
-    let mut sent: Vec<peertrust_core::Rule> = Vec::new();
+    let mut sent = FxHashSet::default();
     let mut disclosures = Vec::new();
     let mut msg_n = 1000u64;
     let mut goal: Option<Literal> = None;

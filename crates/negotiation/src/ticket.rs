@@ -273,7 +273,7 @@ mod tests {
         let server = peers.get(PeerId::new("Server")).unwrap();
         let mut ticket = issue_ticket(server, &outcome, 1, 100).unwrap();
         // Extend the expiry without re-signing.
-        ticket.signed.rule.head.args[2] = Term::int(10_000);
+        std::sync::Arc::make_mut(&mut ticket.signed.rule).head.args[2] = Term::int(10_000);
         let crl = RevocationList::new();
         let resource = parse_literal(r#"resource("Alice")"#).unwrap();
         assert_eq!(

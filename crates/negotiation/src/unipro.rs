@@ -108,7 +108,7 @@ pub fn request_policy(
             context: Context::public(),
             evidence: disclosed
                 .iter()
-                .map(|r| Evidence::Initial(r.clone()))
+                .map(|r| Evidence::Initial(std::sync::Arc::new(r.clone())))
                 .collect(),
         });
     }

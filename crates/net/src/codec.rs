@@ -191,7 +191,7 @@ mod tests {
         let msg = Message {
             payload: Payload::CredentialPush {
                 rules: vec![SignedRule {
-                    rule,
+                    rule: rule.into(),
                     signatures: vec![[42u8; 32]],
                 }],
             },

@@ -363,14 +363,14 @@ mod tests {
         .signed_by("UIUC");
         let unsigned_len = msg(Payload::CredentialPush {
             rules: vec![SignedRule {
-                rule: rule.clone(),
+                rule: rule.clone().into(),
                 signatures: vec![],
             }],
         })
         .encoded_size();
         let signed_len = msg(Payload::CredentialPush {
             rules: vec![SignedRule {
-                rule,
+                rule: rule.into(),
                 signatures: vec![[0u8; 32]],
             }],
         })
@@ -413,15 +413,15 @@ mod tests {
             Payload::CredentialPush {
                 rules: vec![
                     SignedRule {
-                        rule: cred.clone(),
+                        rule: cred.clone().into(),
                         signatures: vec![[1u8; 32]],
                     },
                     SignedRule {
-                        rule: delegation.clone(),
+                        rule: delegation.clone().into(),
                         signatures: vec![[2u8; 32], [3u8; 32]],
                     },
                     SignedRule {
-                        rule: cred.clone(),
+                        rule: cred.clone().into(),
                         signatures: vec![],
                     },
                 ],

@@ -186,6 +186,20 @@ const STEPS: &[Step] = &[
         ],
         &[],
     ),
+    step(
+        "bench smoke (e9_crypto)",
+        &[
+            "bench",
+            "-p",
+            "peertrust-bench",
+            "--bench",
+            "e9_crypto",
+            "--",
+            "--measurement-time",
+            "1",
+        ],
+        &[],
+    ),
 ];
 
 /// Extra steps behind `cargo xtask verify --threads`: the concurrent-path
